@@ -21,7 +21,6 @@ from .bounds import (
 from .census import (
     CliqueCensus,
     MaxCliqueResult,
-    TriangleCensus,
     TransitivityReport,
     clique_census,
     max_clique,
@@ -95,7 +94,6 @@ __all__ = [
     "SweepTable",
     "TradeFlow",
     "TransitivityReport",
-    "TriangleCensus",
     "TwoColoring",
     "UndefinedBiasError",
     "UndefinedDensityError",

@@ -13,7 +13,6 @@ exact integers and fractions are exact rationals.
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
 from math import comb
@@ -23,33 +22,8 @@ from .errors import InputError, UndefinedDensityError, UnsupportedOrderError
 
 
 @dataclass(frozen=True)
-class TriangleCensus:
-    """Exact triangle counts by color on one coloring."""
-
-    n: int
-    total: int
-    red_triangles: int
-    blue_triangles: int
-
-    @property
-    def mono(self) -> int:
-        return self.red_triangles + self.blue_triangles
-
-    @property
-    def mono_fraction(self) -> Fraction:
-        """Monochromatic share of all C(n,3) triangles.
-
-        Defined as 1 for n < 3: a graph with no triangles is vacuously
-        monochromatic, matching the all-red/all-blue sweep extremes.
-        """
-        if self.total == 0:
-            return Fraction(1)
-        return Fraction(self.mono, self.total)
-
-
-@dataclass(frozen=True)
 class CliqueCensus:
-    """Exact monochromatic K_m counts, m in {3, 4, 5}."""
+    """Exact monochromatic K_m counts by color on one coloring, m in {3, 4, 5}."""
 
     n: int
     m: int
@@ -63,6 +37,12 @@ class CliqueCensus:
 
     @property
     def mono_fraction(self) -> Fraction:
+        """Monochromatic share of all C(n,m) m-vertex subsets.
+
+        Defined as 1 when total is 0 (n < m): a graph with no K_m is
+        vacuously monochromatic, matching the all-red/all-blue sweep
+        extremes.
+        """
         if self.total == 0:
             return Fraction(1)
         return Fraction(self.mono, self.total)
@@ -102,68 +82,53 @@ class MaxCliqueResult:
     nodes_explored: int
 
 
-def _count_range(rows: tuple[int, ...], m: int, lo: int, hi: int) -> int:
-    """m-cliques in the bit-row graph whose least vertex lies in [lo, hi)."""
-
-    def rec(cand: int, need: int) -> int:
-        # cand holds vertices all above the clique built so far
-        if need == 2:
-            acc = 0
-            c = cand
-            while c:
-                b = c & -c
-                c ^= b
-                acc += (c & rows[b.bit_length() - 1]).bit_count()
-            return acc
-        acc = 0
-        c = cand
-        while c:
-            b = c & -c
-            c ^= b
-            sub = c & rows[b.bit_length() - 1]
-            if sub:
-                acc += rec(sub, need - 1)
-        return acc
-
-    total = 0
-    for v in range(lo, hi):
-        cand = rows[v] & (-1 << (v + 1))
-        if m == 2:
-            total += cand.bit_count()
-        elif cand:
-            total += rec(cand, m - 1)
-    return total
+def _edges_among(rows: tuple[int, ...], cand: int) -> int:
+    """Edges of the bit-row graph with both ends in the vertex mask cand."""
+    acc = 0
+    while cand:
+        b = cand & -cand
+        cand ^= b
+        acc += (cand & rows[b.bit_length() - 1]).bit_count()
+    return acc
 
 
-def _count_cliques(rows: tuple[int, ...], m: int, threads: int = 1) -> int:
-    n = len(rows)
-    if threads <= 1 or n < 2 * threads:
-        return _count_range(rows, m, 0, n)
-    cuts = [i * n // threads for i in range(threads + 1)]
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        parts = pool.map(
-            lambda span: _count_range(rows, m, span[0], span[1]),
-            zip(cuts, cuts[1:]),
-        )
-        return sum(parts)
+def _count_cliques(rows: tuple[int, ...], cand: int, m: int) -> int:
+    """m-cliques (m >= 3) of the bit-row graph inside the vertex mask cand.
 
-
-def triangle_census(coloring: TwoColoring, threads: int = 1) -> TriangleCensus:
-    """Count red and blue triangles exactly.
-
-    The intersection loop is split over the outer vertex index when
-    threads > 1; the reduction is an integer sum, so results are
-    identical for any thread count.
+    Each clique is counted once, from its least vertex: cand only ever
+    holds vertices above the prefix chosen so far.
     """
-    return TriangleCensus(
+    acc = 0
+    while cand:
+        b = cand & -cand
+        cand ^= b
+        sub = cand & rows[b.bit_length() - 1]
+        if sub:
+            acc += _edges_among(rows, sub) if m == 3 else _count_cliques(rows, sub, m - 1)
+    return acc
+
+
+def _census(coloring: TwoColoring, m: int) -> CliqueCensus:
+    full = (1 << coloring.n) - 1
+    return CliqueCensus(
         n=coloring.n,
-        total=comb(coloring.n, 3),
-        red_triangles=_count_cliques(coloring.rows(Color.RED), 3, threads),
-        blue_triangles=_count_cliques(coloring.rows(Color.BLUE), 3, threads),
+        m=m,
+        total=comb(coloring.n, m),
+        red_count=_count_cliques(coloring.rows(Color.RED), full, m),
+        blue_count=_count_cliques(coloring.rows(Color.BLUE), full, m),
     )
 
 
-def clique_census(coloring: TwoColoring, m: int, threads: int = 1) -> CliqueCensus:
+def triangle_census(coloring: TwoColoring) -> CliqueCensus:
+    """Count red and blue triangles exactly: the m=3 clique census.
+
+    Unlike clique_census this accepts n < 3, where both counts and the
+    total are 0.
+    """
+    return _census(coloring, 3)
+
+
+def clique_census(coloring: TwoColoring, m: int) -> CliqueCensus:
     """Count monochromatic K_m exactly for m in {3, 4, 5}.
 
     Orders above 5 are out of scope: no exact forced minima are known
@@ -173,13 +138,7 @@ def clique_census(coloring: TwoColoring, m: int, threads: int = 1) -> CliqueCens
         raise UnsupportedOrderError(f"clique order must be 3, 4, or 5, got {m}")
     if coloring.n < m:
         raise InputError(f"need at least {m} vertices, got {coloring.n}")
-    return CliqueCensus(
-        n=coloring.n,
-        m=m,
-        total=comb(coloring.n, m),
-        red_count=_count_cliques(coloring.rows(Color.RED), m, threads),
-        blue_count=_count_cliques(coloring.rows(Color.BLUE), m, threads),
-    )
+    return _census(coloring, m)
 
 
 def per_vertex_triangles(coloring: TwoColoring, color: Color) -> list[int]:
@@ -189,21 +148,13 @@ def per_vertex_triangles(coloring: TwoColoring, color: Color) -> list[int]:
     matrix; the sum over vertices is three times the triangle count.
     """
     rows = coloring.rows(color)
-    out = []
-    for v in range(coloring.n):
-        nv = rows[v]
-        edges_among = 0
-        c = nv
-        while c:
-            b = c & -c
-            c ^= b
-            edges_among += (c & rows[b.bit_length() - 1]).bit_count()
-        out.append(edges_among)
-    return out
+    return [_edges_among(rows, nv) for nv in rows]
 
 
-def transitivity_from_census(census: TriangleCensus) -> TransitivityReport:
+def transitivity_from_census(census: CliqueCensus) -> TransitivityReport:
     """Path-completion ratio derived from an existing triangle census."""
+    if census.m != 3:
+        raise InputError(f"transitivity needs a triangle census, got m={census.m}")
     if census.n < 3:
         raise InputError(f"transitivity needs n >= 3, got {census.n}")
     f = census.mono
@@ -378,10 +329,4 @@ def neighborhood_density(coloring: TwoColoring, v: int, color: Color) -> Fractio
         raise UndefinedDensityError(
             f"vertex {v} has {deg} {color.value} neighbor(s); density needs 2"
         )
-    edges_among = 0
-    c = nv
-    while c:
-        b = c & -c
-        c ^= b
-        edges_among += (c & rows[b.bit_length() - 1]).bit_count()
-    return Fraction(edges_among, comb(deg, 2))
+    return Fraction(_edges_among(rows, nv), comb(deg, 2))

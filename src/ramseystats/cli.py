@@ -48,8 +48,7 @@ class RunConfig:
     """Resolved parameters of one invocation.
 
     Every field has a default, and a config survives a round trip
-    through the JSON run manifest via to_dict/from_dict. Thread count
-    is deliberately not configuration: results never depend on it.
+    through the JSON run manifest via to_dict/from_dict.
     """
 
     command: str = ""
@@ -173,8 +172,8 @@ def _sweep_table_rows(table: ingest.SweepTable):
             r.t,
             table.n,
             r.census.total,
-            r.census.red_triangles,
-            r.census.blue_triangles,
+            r.census.red_count,
+            r.census.blue_count,
             r.census.mono,
             _fr(r.mono_fraction),
             _fr(r.red_fraction),
@@ -212,8 +211,8 @@ def _emit_sweep(out: Path, token: str, table: ingest.SweepTable, fmt: str) -> li
                 {
                     "t": r.t,
                     "total": r.census.total,
-                    "red_triangles": r.census.red_triangles,
-                    "blue_triangles": r.census.blue_triangles,
+                    "red_triangles": r.census.red_count,
+                    "blue_triangles": r.census.blue_count,
                     "mono": r.census.mono,
                     "mono_fraction": _fr(r.mono_fraction),
                     "red_fraction": _fr(r.red_fraction),
@@ -273,10 +272,8 @@ def _print_sweep(token: str, table: ingest.SweepTable):
               help="Default: largest observed distance + 1.")
 @click.option("--format", "fmt", type=click.Choice(["csv", "json"]), default="csv",
               show_default=True)
-@click.option("--threads", type=int, default=1, show_default=True,
-              help="Worker threads; never changes results.")
 @click.option("--out-dir", default=None, help=f"Default: ${OUT_DIR_ENV} or the working directory.")
-def cmd_sweep(input_path, votes_format, subgroups, t_min, t_max, fmt, threads, out_dir):
+def cmd_sweep(input_path, votes_format, subgroups, t_min, t_max, fmt, out_dir):
     """Census every threshold graph of a votes dataset."""
     records = _load_votes(input_path, votes_format)
     dist = ingest.hamming_matrix(records)
@@ -292,7 +289,7 @@ def cmd_sweep(input_path, votes_format, subgroups, t_min, t_max, fmt, threads, o
     for token in subgroups:
         idx = _subgroup_indices(records, token)
         try:
-            table = ingest.sweep(dist, (t_min, t_max), subgroup=idx, threads=threads)
+            table = ingest.sweep(dist, (t_min, t_max), subgroup=idx)
         except InputError as exc:
             _fail(1, str(exc))
         _print_sweep(token, table)
@@ -410,10 +407,9 @@ def _print_chi2(token, rows, significance, notes):
 @click.option("--significance", type=float, default=0.01, show_default=True)
 @click.option("--format", "fmt", type=click.Choice(["csv", "json"]), default="csv",
               show_default=True)
-@click.option("--threads", type=int, default=1, show_default=True)
 @click.option("--out-dir", default=None)
 def cmd_chi2(input_path, kind, votes_format, subgroups, t_min, t_max, df, k,
-             significance, fmt, threads, out_dir):
+             significance, fmt, out_dir):
     """Chi-squared deviation reports for a votes sweep or a trade graph."""
     out = _resolve_out_dir(out_dir)
     written = []
@@ -433,7 +429,7 @@ def cmd_chi2(input_path, kind, votes_format, subgroups, t_min, t_max, df, k,
         for token in subgroups:
             idx = _subgroup_indices(records, token)
             try:
-                table = ingest.sweep(dist, (t_min, t_max), subgroup=idx, threads=threads)
+                table = ingest.sweep(dist, (t_min, t_max), subgroup=idx)
             except InputError as exc:
                 _fail(1, str(exc))
             n = table.n
@@ -473,15 +469,15 @@ def cmd_chi2(input_path, kind, votes_format, subgroups, t_min, t_max, df, k,
             graph = ingest.build_trade_graph(flows, k)
         except InputError as exc:
             _fail(1, str(exc))
-        census = census_lib.triangle_census(graph, threads=threads)
+        census = census_lib.triangle_census(graph)
         n = graph.n
         t_norm = stats.normalized_threshold(k, n)
         thresholds = [_fr(t_norm)]
         total = census.total
         observed = {
             "mono": stats.Series(thresholds, [_fr(census.mono_fraction)]),
-            "red": stats.Series(thresholds, [census.red_triangles / total]),
-            "blue": stats.Series(thresholds, [census.blue_triangles / total]),
+            "red": stats.Series(thresholds, [census.red_count / total]),
+            "blue": stats.Series(thresholds, [census.blue_count / total]),
         }
         # blue is the threshold color here: partner edges grow with k
         g, s = _expected_fractions(n, t_norm)
@@ -523,9 +519,8 @@ def cmd_chi2(input_path, kind, votes_format, subgroups, t_min, t_max, df, k,
 @click.option("--clique-budget", type=int, default=10**8, show_default=True)
 @click.option("--format", "fmt", type=click.Choice(["csv", "json"]), default="csv",
               show_default=True)
-@click.option("--threads", type=int, default=1, show_default=True)
 @click.option("--out-dir", default=None)
-def cmd_trade(input_path, k, orders, density_vertex, clique_budget, fmt, threads, out_dir):
+def cmd_trade(input_path, k, orders, density_vertex, clique_budget, fmt, out_dir):
     """Census and extremal structure of a top-k trade partner graph."""
     orders = _parse_orders(orders, minimum=3)
     flows = _load_flows(input_path)
@@ -547,7 +542,7 @@ def cmd_trade(input_path, k, orders, density_vertex, clique_budget, fmt, threads
     reports = []
     for m in orders:
         try:
-            c = census_lib.clique_census(graph, m, threads=threads)
+            c = census_lib.clique_census(graph, m)
         except InputError as exc:
             _fail(1, str(exc))
         if m == 3:
@@ -567,14 +562,13 @@ def cmd_trade(input_path, k, orders, density_vertex, clique_budget, fmt, threads
     bias = None
     if tri is not None:
         try:
-            bias = stats.bias_summary(census_lib.TriangleCensus(
-                n=tri.n, total=tri.total,
-                red_triangles=tri.red_count, blue_triangles=tri.blue_count,
-            ))
+            bias = stats.bias_summary(tri)
         except UndefinedBiasError:
             bias = None
+    else:
+        tri = census_lib.triangle_census(graph)
 
-    trans = census_lib.transitivity(graph)
+    trans = census_lib.transitivity_from_census(tri)
     max_blue = census_lib.max_clique(graph, Color.BLUE, clique_budget)
     max_indep = census_lib.max_clique(graph, Color.RED, clique_budget)
 

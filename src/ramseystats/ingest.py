@@ -17,14 +17,13 @@ from __future__ import annotations
 import csv
 import math
 import random
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Sequence
 
 from .bounds import GoodmanBound, goodman_fraction
 from .census import (
-    TriangleCensus,
+    CliqueCensus,
     TransitivityReport,
     transitivity_from_census,
     triangle_census,
@@ -259,7 +258,7 @@ class SweepRow:
     """Census of one threshold graph in a sweep."""
 
     t: int
-    census: TriangleCensus
+    census: CliqueCensus
     transitivity: TransitivityReport
 
     @property
@@ -268,11 +267,11 @@ class SweepRow:
 
     @property
     def red_fraction(self) -> Fraction:
-        return Fraction(self.census.red_triangles, self.census.total)
+        return Fraction(self.census.red_count, self.census.total)
 
     @property
     def blue_fraction(self) -> Fraction:
-        return Fraction(self.census.blue_triangles, self.census.total)
+        return Fraction(self.census.blue_count, self.census.total)
 
     @property
     def completion_ratio(self) -> Fraction:
@@ -292,13 +291,11 @@ def sweep(
     d: DistanceMatrix,
     t_range: tuple[int, int],
     subgroup: Sequence[int] | None = None,
-    threads: int = 1,
 ) -> SweepTable:
     """Census every threshold graph for t in the inclusive range.
 
     With a subgroup, the distance matrix is first restricted to those
-    indices. Thresholds are independent, so they may be evaluated in
-    parallel; rows always come back ordered by t.
+    indices. Rows come back ordered by t.
     """
     t_min, t_max = t_range
     if t_min > t_max:
@@ -308,19 +305,13 @@ def sweep(
             raise InputError("subgroup must not be empty")
         d = d.submatrix(subgroup)
 
-    def row_at(t: int) -> SweepRow:
+    rows = []
+    for t in range(t_min, t_max + 1):
         census = triangle_census(threshold_coloring(d, t))
-        return SweepRow(
+        rows.append(SweepRow(
             t=t, census=census, transitivity=transitivity_from_census(census)
-        )
-
-    ts = range(t_min, t_max + 1)
-    if threads > 1 and len(ts) > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            rows = tuple(pool.map(row_at, ts))
-    else:
-        rows = tuple(row_at(t) for t in ts)
-    return SweepTable(n=d.n, rows=rows, goodman=goodman_fraction(d.n))
+        ))
+    return SweepTable(n=d.n, rows=tuple(rows), goodman=goodman_fraction(d.n))
 
 
 def parse_trade_flows(lines: Iterable[str]) -> list[TradeFlow]:

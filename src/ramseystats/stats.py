@@ -19,7 +19,7 @@ from fractions import Fraction
 from typing import NamedTuple, Sequence
 
 from .bounds import goodman_fraction
-from .census import TriangleCensus
+from .census import CliqueCensus
 from .errors import DegenerateReferenceError, InputError, UndefinedBiasError
 
 
@@ -111,14 +111,17 @@ def p_value(statistic: float, df: int = 1) -> float:
 
     Equals 1 minus the CDF; for df=1 it coincides with
     erfc(sqrt(statistic/2)), which the tests use as an independent
-    check. Accurate to well over 6 significant digits.
+    check. Accurate to well over 6 significant digits. An infinite
+    statistic has p-value 0; nan is rejected.
     """
     if df < 1:
         raise InputError(f"degrees of freedom must be >= 1, got {df}")
-    if statistic < 0:
+    if math.isnan(statistic) or statistic < 0:
         raise InputError(f"statistic must be nonnegative, got {statistic}")
     if statistic == 0:
         return 1.0
+    if math.isinf(statistic):
+        return 0.0
     a = df / 2.0
     x = statistic / 2.0
     if x < a + 1.0:
@@ -218,7 +221,7 @@ class BiasSummary(NamedTuple):
     bias_ratio: object  # Fraction, or math.inf when blue is 0
 
 
-def bias_summary(census: TriangleCensus) -> BiasSummary:
+def bias_summary(census: CliqueCensus) -> BiasSummary:
     """Split of the monochromatic triangles between the two colors.
 
     bias_ratio is red over blue; an all-red census reports an infinite
@@ -227,7 +230,7 @@ def bias_summary(census: TriangleCensus) -> BiasSummary:
     """
     if census.mono == 0:
         raise UndefinedBiasError("no monochromatic triangles; shares are undefined")
-    red, blue = census.red_triangles, census.blue_triangles
+    red, blue = census.red_count, census.blue_count
     ratio = math.inf if blue == 0 else Fraction(red, blue)
     return BiasSummary(
         red_share=Fraction(red, census.mono),

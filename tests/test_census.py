@@ -1,7 +1,10 @@
 from fractions import Fraction
+from itertools import combinations
 from math import comb
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import oracles
 import ramseystats as rs
@@ -10,7 +13,7 @@ from ramseystats import Color
 
 def test_triangle_census_star(star_coloring):
     c = rs.triangle_census(star_coloring)
-    assert (c.blue_triangles, c.red_triangles) == (0, 10)
+    assert (c.blue_count, c.red_count) == (0, 10)
     assert c.mono == 10
     assert c.total == 20
     assert c.mono_fraction == Fraction(1, 2)
@@ -19,21 +22,13 @@ def test_triangle_census_star(star_coloring):
 def test_triangle_census_extremes():
     all_blue = rs.TwoColoring(4, tuple(0b1111 & ~(1 << i) for i in range(4)))
     c = rs.triangle_census(all_blue)
-    assert c.blue_triangles == 4 and c.red_triangles == 0
+    assert c.blue_count == 4 and c.red_count == 0
     assert c.mono_fraction == 1
 
     tiny = rs.from_blue_edges(2, [(0, 1)])
     c = rs.triangle_census(tiny)
     assert c.total == 0 and c.mono == 0
     assert c.mono_fraction == 1  # vacuous: no triangles to be bichromatic
-
-
-def test_census_threads_agree(star_coloring):
-    lone = rs.triangle_census(star_coloring, threads=1)
-    many = rs.triangle_census(star_coloring, threads=8)
-    assert lone == many
-    big = rs.random_coloring(40, 0.3, seed=5)
-    assert rs.clique_census(big, 4, threads=1) == rs.clique_census(big, 4, threads=7)
 
 
 def test_clique_census_small():
@@ -55,6 +50,50 @@ def test_clique_census_validation():
         rs.clique_census(c, 2)
     with pytest.raises(rs.InputError):
         rs.clique_census(rs.from_blue_edges(4, []), 5)
+
+
+# all-red, sparse, balanced, dense and all-blue colorings
+BLUE_DENSITIES = (0.0, 0.1, 0.5, 0.9, 1.0)
+
+
+@settings(deadline=None)
+@given(
+    n=st.integers(1, 9),
+    p=st.sampled_from(BLUE_DENSITIES),
+    rnd=st.randoms(use_true_random=False),
+)
+def test_census_kernel_matches_oracles(n, p, rnd):
+    c = rs.from_blue_edges(
+        n, [(i, j) for i, j in combinations(range(n), 2) if rnd.random() < p]
+    )
+    tri = rs.triangle_census(c)
+    assert (tri.m, tri.total) == (3, comb(n, 3))
+    assert tri.red_count == oracles.clique_count(c, Color.RED, 3)
+    assert tri.blue_count == oracles.clique_count(c, Color.BLUE, 3)
+    # Goodman's degree identity: mono = C(n,3) - 1/2 sum_v r_v b_v
+    rb = sum(c.degree(v, Color.RED) * c.degree(v, Color.BLUE) for v in range(n))
+    assert 2 * tri.mono == 2 * comb(n, 3) - rb
+
+    for m in (4, 5):
+        if n < m:
+            with pytest.raises(rs.InputError):
+                rs.clique_census(c, m)
+            continue
+        k = rs.clique_census(c, m)
+        assert k.red_count == oracles.clique_count(c, Color.RED, m)
+        assert k.blue_count == oracles.clique_count(c, Color.BLUE, m)
+
+    for color in (Color.RED, Color.BLUE):
+        through = oracles.per_vertex_triangles(c, color)
+        assert rs.per_vertex_triangles(c, color) == through
+        for v in range(n):
+            deg = c.degree(v, color)
+            if deg < 2:
+                with pytest.raises(rs.UndefinedDensityError):
+                    rs.neighborhood_density(c, v, color)
+            else:
+                density = rs.neighborhood_density(c, v, color)
+                assert density == Fraction(through[v], comb(deg, 2))
 
 
 def test_per_vertex_triangles():
@@ -88,6 +127,8 @@ def test_transitivity_no_mono():
 def test_transitivity_validation():
     with pytest.raises(rs.InputError):
         rs.transitivity(rs.from_blue_edges(2, [(0, 1)]))
+    with pytest.raises(rs.InputError):
+        rs.transitivity_from_census(rs.clique_census(rs.random_coloring(6, 0.5, seed=1), 4))
 
 
 def test_max_clique_small():

@@ -276,27 +276,3 @@ def test_bounds_command(runner, tmp_path):
     assert runner.invoke(main, [
         "bounds", "--n-min", "2", "--out-dir", str(tmp_path),
     ]).exit_code == 1
-
-
-def hash_dir(path: Path) -> dict:
-    return {p.name: report.sha256_file(p) for p in sorted(path.iterdir())}
-
-
-def test_thread_count_never_changes_bytes(runner, sample_votes_path,
-                                          trade_ring_path, tmp_path):
-    out = tmp_path / "run"
-    sweep_args = [
-        "sweep", "--input", str(sample_votes_path),
-        "--subgroup", "G", "--subgroup", "D", "--out-dir", str(out),
-    ]
-    run_ok(runner, sweep_args + ["--threads", "1"])
-    first = hash_dir(out)
-    run_ok(runner, sweep_args + ["--threads", "8"])
-    assert hash_dir(out) == first
-
-    out2 = tmp_path / "trade"
-    trade_args = ["trade", "--input", str(trade_ring_path), "--out-dir", str(out2)]
-    run_ok(runner, trade_args + ["--threads", "1"])
-    first = hash_dir(out2)
-    run_ok(runner, trade_args + ["--threads", "8"])
-    assert hash_dir(out2) == first

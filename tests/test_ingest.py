@@ -153,7 +153,7 @@ def test_sweep_six_voters(sample_matrix):
     monos = [float(r.mono_fraction) for r in table.rows]
     assert monos == [1.0, 1.0, 1.0, 0.6, 0.45, 0.2, 0.3, 1.0, 1.0]
     t5 = table.rows[5]
-    assert t5.census.red_triangles == 4 and t5.census.blue_triangles == 0
+    assert t5.census.red_count == 4 and t5.census.blue_count == 0
     assert t5.completion_ratio == Fraction(12, 28)
     assert table.goodman.forced_fraction == Fraction(2, 20)
     assert table.n == 6
@@ -176,12 +176,6 @@ def test_sweep_subgroup(sample_matrix, sample_records):
         rs.sweep(sample_matrix, (0, 2), subgroup=[])
     with pytest.raises(rs.InputError):
         rs.sweep(sample_matrix, (3, 2))
-
-
-def test_sweep_threads_identical(sample_matrix):
-    a = rs.sweep(sample_matrix, (0, 8), threads=1)
-    b = rs.sweep(sample_matrix, (0, 8), threads=8)
-    assert a == b
 
 
 def test_parse_trade_flows(trade_small_path):
@@ -277,7 +271,7 @@ def test_trade_ring_is_blue_cycle(trade_ring_path):
     assert set(g.blue_edges()) == {(min(a, b), max(a, b)) for a, b in ring}
     census = rs.triangle_census(g)
     # complement of a 6-cycle realizes the Goodman floor exactly
-    assert census.blue_triangles == 0 and census.red_triangles == 2
+    assert census.blue_count == 0 and census.red_count == 2
     assert rs.max_clique(g, Color.BLUE).size == 2
     assert rs.max_clique(g, Color.RED).witness == (0, 2, 4)
 

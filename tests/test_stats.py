@@ -33,6 +33,7 @@ def test_p_value_spot_values():
     for x in (0.5, 2.0, 10.0):
         assert rs.p_value(x, 2) == pytest.approx(math.exp(-x / 2), rel=1e-12)
     assert rs.p_value(0, 5) == 1.0
+    assert rs.p_value(math.inf, 1) == 0.0
 
 
 def test_p_value_validation():
@@ -40,6 +41,8 @@ def test_p_value_validation():
         rs.p_value(1.0, 0)
     with pytest.raises(rs.InputError):
         rs.p_value(-0.5, 1)
+    with pytest.raises(rs.InputError):
+        rs.p_value(math.nan, 1)
 
 
 def test_chi2_vs_expectation_hand_value():
@@ -119,17 +122,17 @@ def test_bar_chi2():
 
 
 def test_bias_summary():
-    c = rs.TriangleCensus(n=6, total=20, red_triangles=4, blue_triangles=1)
+    c = rs.CliqueCensus(n=6, m=3, total=20, red_count=4, blue_count=1)
     b = rs.bias_summary(c)
     assert b.red_share == Fraction(4, 5)
     assert b.blue_share == Fraction(1, 5)
     assert b.bias_ratio == Fraction(4, 1)
 
-    all_red = rs.TriangleCensus(n=6, total=20, red_triangles=4, blue_triangles=0)
+    all_red = rs.CliqueCensus(n=6, m=3, total=20, red_count=4, blue_count=0)
     assert rs.bias_summary(all_red).bias_ratio == math.inf
 
     with pytest.raises(rs.UndefinedBiasError):
-        rs.bias_summary(rs.TriangleCensus(n=6, total=20, red_triangles=0, blue_triangles=0))
+        rs.bias_summary(rs.CliqueCensus(n=6, m=3, total=20, red_count=0, blue_count=0))
 
 
 def test_normalized_threshold():
