@@ -6,7 +6,7 @@ import pytest
 from click.testing import CliRunner
 
 import ramseystats as rs
-from ramseystats import report
+from ramseystats import census, report
 from ramseystats.cli import OUT_DIR_ENV, RunConfig, main
 
 
@@ -170,6 +170,13 @@ def test_chi2_missing_and_bad_inputs(runner, tmp_path):
     assert runner.invoke(main, [
         "chi2", "--input", str(bad), "--kind", "trade", "--out-dir", str(tmp_path),
     ]).exit_code == 3
+    two = tmp_path / "two.csv"
+    two.write_text("exporter,importer,volume\nA,B,3\n")
+    result = runner.invoke(main, [
+        "chi2", "--input", str(two), "--kind", "trade", "--out-dir", str(tmp_path),
+    ])
+    assert result.exit_code == 1
+    assert result.output.startswith("error: ")
 
 
 def test_trade_command(runner, trade_ring_path, tmp_path):
@@ -217,6 +224,33 @@ def test_trade_budget_exhausted_exit_4(runner, trade_small_path, tmp_path):
     assert result.exit_code == 4
 
 
+def test_trade_bad_budget_exit_1(runner, trade_small_path, tmp_path):
+    for budget in ("0", "-5"):
+        result = runner.invoke(main, [
+            "trade", "--input", str(trade_small_path), "--k", "2",
+            "--clique-budget", budget, "--out-dir", str(tmp_path),
+        ])
+        assert result.exit_code == 1
+        assert "clique budget" in result.output
+    assert not (tmp_path / "trade_summary.csv").exists()
+
+
+def test_trade_unknown_density_vertex_fails_before_census(
+    runner, trade_small_path, tmp_path, monkeypatch
+):
+    calls = []
+    monkeypatch.setattr(census, "max_clique", lambda *a, **kw: calls.append(a))
+    monkeypatch.setattr(census, "clique_census", lambda *a, **kw: calls.append(a))
+    result = runner.invoke(main, [
+        "trade", "--input", str(trade_small_path), "--k", "2",
+        "--density-vertex", "Nowhere", "--out-dir", str(tmp_path),
+    ])
+    assert result.exit_code == 1
+    assert isinstance(result.exception, SystemExit)
+    assert "Nowhere" in result.output
+    assert calls == []
+
+
 def test_trade_bad_orders_exit_1(runner, trade_small_path, tmp_path):
     result = runner.invoke(main, [
         "trade", "--input", str(trade_small_path), "--orders", "2,3",
@@ -259,6 +293,11 @@ def test_simulate_validation(runner, tmp_path):
     assert runner.invoke(main, [
         "simulate", "--n", "30", "--exhaustive", "--out-dir", str(tmp_path),
     ]).exit_code == 1
+    for n in ("2", "0"):
+        result = runner.invoke(main, ["simulate", "--n", n, "--out-dir", str(tmp_path)])
+        assert result.exit_code == 1
+        assert isinstance(result.exception, SystemExit)
+        assert result.output.startswith("error: ")
 
 
 def test_bounds_command(runner, tmp_path):

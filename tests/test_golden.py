@@ -39,6 +39,7 @@ CASES = {
     "trade-k1": ["trade", "--input", SMALL, "--k", "1", "--density-vertex", "Bravo"],
     "trade-ring": ["trade", "--input", RING, "--k", "5", "--density-vertex", "C0"],
     "simulate-exhaustive": ["simulate", "--exhaustive", "--n", "5"],
+    "simulate-exhaustive-2": ["simulate", "--exhaustive", "--n", "2"],
     "simulate": ["simulate", "--n", "8", "--t-step", "0.25", "--samples", "40",
                  "--seed", "3"],
     "bounds": ["bounds"],
