@@ -19,17 +19,17 @@ errors exit 1.
 from __future__ import annotations
 
 import contextlib
-import os
 import random
 import statistics
 import sys
 from collections import Counter
-from dataclasses import asdict, dataclass
+from dataclasses import asdict
 from fractions import Fraction
 from math import comb, sqrt
 from pathlib import Path
 
 import click
+from click.core import ParameterSource
 
 from . import bounds as bounds_lib
 from . import census as census_lib
@@ -39,59 +39,14 @@ from .errors import InputError, ParseError, UndefinedBiasError, UndefinedDensity
 
 OUT_DIR_ENV = "RAMSEYSTATS_OUT_DIR"
 
-_TUPLE_FIELDS = ("inputs", "subgroups", "orders", "density_vertex")
-
-
-@dataclass(frozen=True)
-class RunConfig:
-    """Resolved parameters of one invocation.
-
-    Every field has a default, and a config survives a round trip
-    through the JSON run manifest via to_dict/from_dict.
-    """
-
-    command: str = ""
-    inputs: tuple[str, ...] = ()
-    fmt: str = "csv"
-    votes_format: str = ingest.UCI_FORMAT
-    kind: str = "votes"
-    subgroups: tuple[str, ...] = ("G",)
-    t_min: float | None = None
-    t_max: float | None = None
-    t_step: float = 0.05
-    orders: tuple[int, ...] = (3, 4, 5)
-    df: int = 1
-    k: int = 5
-    seed: int = 0
-    samples: int = 2000
-    significance: float = 0.01
-    n: int = 20
-    n_min: int = 3
-    n_max: int = 30
-    density_vertex: tuple[str, ...] = ()
-    clique_budget: int = 10**8
-    exhaustive: bool = False
-    out_dir: str = "."
-
-    def to_dict(self) -> dict:
-        return asdict(self)
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "RunConfig":
-        kw = dict(d)
-        for name in _TUPLE_FIELDS:
-            if kw.get(name) is not None:
-                kw[name] = tuple(kw[name])
-        return cls(**kw)
-
 
 def _fail(code: int, message: str):
     click.echo(f"error: {message}", err=True)
     sys.exit(code)
 
 
-def _resolve_out_dir(opt: str | None) -> Path:
-    path = Path(opt or os.environ.get(OUT_DIR_ENV) or ".")
+def _resolve_out_dir(opt: str) -> Path:
+    path = Path(opt)
     path.mkdir(parents=True, exist_ok=True)
     return path
 
@@ -117,7 +72,7 @@ def _safe_name(token: str) -> str:
     return "".join(ch if ch.isalnum() else "_" for ch in token) or "_"
 
 
-def _parse_orders(text: str, minimum: int) -> tuple[int, ...]:
+def _parse_orders(text: str, minimum: int, maximum: int | None = None) -> tuple[int, ...]:
     try:
         orders = tuple(sorted({int(tok) for tok in text.split(",") if tok.strip()}))
     except ValueError:
@@ -126,6 +81,8 @@ def _parse_orders(text: str, minimum: int) -> tuple[int, ...]:
         _fail(1, "orders list is empty")
     if orders[0] < minimum:
         _fail(1, f"order {orders[0]} below the supported minimum {minimum}")
+    if maximum is not None and orders[-1] > maximum:
+        _fail(1, f"order {orders[-1]} above the supported maximum {maximum}")
     return orders
 
 
@@ -149,10 +106,17 @@ def _report(out: Path, fmt: str, stem: str, doc: dict, tables: dict[str, list[di
     return written
 
 
-def _finish(out: Path, written: list[Path], inputs: dict[str, Path], **config) -> None:
-    """Write the run manifest and say how many files the command wrote."""
-    cfg = RunConfig(inputs=tuple(str(p) for p in inputs.values()), out_dir=str(out), **config)
-    written.append(report.write_manifest(out, cfg.command, cfg.to_dict(), inputs))
+def _finish(out: Path, written: list[Path], inputs: dict[str, Path], **resolved) -> None:
+    """Write the run manifest and say how many files the command wrote.
+
+    The manifest config is the command's own options as click resolved
+    them, less the input path (hashed under inputs), with out_dir and
+    the values the command resolves itself (resolved) in their place.
+    """
+    ctx = click.get_current_context()
+    config = {key: value for key, value in ctx.params.items() if key != "input_path"}
+    config.update(out_dir=str(out), **resolved)
+    written.append(report.write_manifest(out, ctx.info_name, config, inputs))
     click.echo(f"wrote {len(written)} files to {out}")
 
 
@@ -164,7 +128,7 @@ _input_option = click.option("--input", "input_path", required=True,
 
 
 def _output_options(fn):
-    fn = click.option("--out-dir", default=None,
+    fn = click.option("--out-dir", envvar=OUT_DIR_ENV, default=".",
                       help=f"Default: ${OUT_DIR_ENV} or the working directory.")(fn)
     return click.option("--format", "fmt", type=click.Choice(["csv", "json"]), default="csv",
                         show_default=True)(fn)
@@ -185,6 +149,10 @@ def _votes_options(fn):
 def _votes_sweeps(path: Path, votes_format: str, subgroups, t_min: int, t_max: int | None):
     """Load a votes file and its distance matrix once. Returns the
     resolved t_max and a generator of (subgroup token, sweep table)."""
+    names = [_safe_name(token) for token in subgroups]
+    clash = [token for token, name in zip(subgroups, names) if names.count(name) > 1]
+    if clash:
+        _fail(1, f"subgroups {', '.join(map(repr, clash))} would share output files")
     records = _load(path, lambda lines: ingest.parse_votes(lines, votes_format), "records")
     dist = ingest.hamming_matrix(records)
     if t_max is None:
@@ -274,8 +242,7 @@ def cmd_sweep(input_path, votes_format, subgroups, t_min, t_max, fmt, out_dir):
     t_max, tables = _votes_sweeps(input_path, votes_format, subgroups, t_min, t_max)
     out = _resolve_out_dir(out_dir)
     written = [path for token, table in tables for path in _sweep_report(out, token, table, fmt)]
-    _finish(out, written, {"votes": input_path}, command="sweep", fmt=fmt,
-            votes_format=votes_format, subgroups=tuple(subgroups), t_min=t_min, t_max=t_max)
+    _finish(out, written, {"votes": input_path}, t_max=t_max)
 
 
 # ----------------------------------------------------------------- chi2
@@ -344,6 +311,11 @@ def _chi2_reports(observed, expected, n, df, significance) -> list[dict]:
 def cmd_chi2(input_path, kind, votes_format, subgroups, t_min, t_max, df, k,
              significance, fmt, out_dir):
     """Chi-squared deviation reports for a votes sweep or a trade graph."""
+    ctx = click.get_current_context()
+    other = {"k"} if kind == "votes" else {"votes_format", "subgroups", "t_min", "t_max"}
+    for opt in (param for param in ctx.command.params if param.name in other):
+        if ctx.get_parameter_source(opt.name) is ParameterSource.COMMANDLINE:
+            _fail(1, f"{opt.opts[0]} does not apply to --kind {kind}")
     if kind == "votes":
         t_max, tables = _votes_sweeps(input_path, votes_format, subgroups, t_min, t_max)
         if t_max <= 0:
@@ -359,8 +331,6 @@ def cmd_chi2(input_path, kind, votes_format, subgroups, t_min, t_max, df, k,
             ))
             for token, table in tables
         )
-        config = dict(votes_format=votes_format, subgroups=tuple(subgroups),
-                      t_min=t_min, t_max=t_max)
     else:
         graph = _trade_graph(input_path, k)
         t_norm = stats.normalized_threshold(k, graph.n)
@@ -372,7 +342,6 @@ def cmd_chi2(input_path, kind, votes_format, subgroups, t_min, t_max, df, k,
         census = census_lib.triangle_census(graph)
         cases = [("trade", graph.n, *_chi2_series(graph.n, [(float(t_norm), census, t_norm)],
                                                   "blue"))]
-        config = {}
     out = _resolve_out_dir(out_dir)
     written = []
     for token, n, observed, expected in cases:
@@ -402,8 +371,8 @@ def cmd_chi2(input_path, kind, votes_format, subgroups, t_min, t_max, df, k,
             "reports": rows,
             "notes": notes,
         }, {name: rows})
-    _finish(out, written, {"votes" if kind == "votes" else "flows": input_path},
-            command="chi2", fmt=fmt, kind=kind, df=df, k=k, significance=significance, **config)
+    # t_max is the resolved one for votes; for trade it is the unset option
+    _finish(out, written, {"votes" if kind == "votes" else "flows": input_path}, t_max=t_max)
 
 
 # ---------------------------------------------------------------- trade
@@ -420,7 +389,7 @@ def cmd_chi2(input_path, kind, votes_format, subgroups, t_min, t_max, df, k,
 @_output_options
 def cmd_trade(input_path, k, orders, density_vertex, clique_budget, fmt, out_dir):
     """Census and extremal structure of a top-k trade partner graph."""
-    orders = _parse_orders(orders, minimum=3)
+    orders = _parse_orders(orders, minimum=3, maximum=5)
     if clique_budget < 1:
         _fail(1, f"clique budget must be >= 1, got {clique_budget}")
     graph = _trade_graph(input_path, k)
@@ -531,9 +500,7 @@ def cmd_trade(input_path, k, orders, density_vertex, clique_budget, fmt, out_dir
     for label, value in densities.items():
         shown = "undefined" if value is None else f"{value:.4f}"
         click.echo(f"blue neighborhood density of {label}: {shown}")
-    _finish(out, written, {"flows": input_path}, command="trade", fmt=fmt, k=k,
-            orders=orders, density_vertex=tuple(density_vertex),
-            clique_budget=clique_budget)
+    _finish(out, written, {"flows": input_path}, orders=orders)
     if any(result.is_lower_bound for result in cliques.values()):
         _fail(4, "clique search node budget exceeded; sizes are lower bounds")
 
@@ -607,8 +574,7 @@ def cmd_simulate(n, t_min, t_max, t_step, samples, seed, exhaustive, fmt, out_di
         click.echo(report.format_table(["t", "analytic", "empirical", "stderr"], body))
         click.echo(f"goodman floor {floor} monochromatic triangles at n={n}")
     written = _report(out, fmt, stem, doc, {stem: rows})
-    _finish(out, written, {}, command="simulate", fmt=fmt, t_min=t_min, t_max=t_max,
-            t_step=t_step, samples=samples, seed=seed, n=n, exhaustive=exhaustive)
+    _finish(out, written, {})
 
 
 # --------------------------------------------------------------- bounds
@@ -641,8 +607,7 @@ def cmd_bounds(n_min, n_max, orders, fmt, out_dir):
     ]
     click.echo(report.format_table(["n", "forced", "fraction", "asymptotic"], body))
     click.echo(", ".join(f"K{u['m']} upper bound {u['upper_bound']:.5f}" for u in uppers))
-    _finish(out, written, {}, command="bounds", fmt=fmt, n_min=n_min, n_max=n_max,
-            orders=orders)
+    _finish(out, written, {}, orders=orders)
 
 
 if __name__ == "__main__":

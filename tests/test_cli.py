@@ -7,7 +7,7 @@ from click.testing import CliRunner
 
 import ramseystats as rs
 from ramseystats import census, report
-from ramseystats.cli import OUT_DIR_ENV, RunConfig, main
+from ramseystats.cli import OUT_DIR_ENV, main
 
 
 @pytest.fixture
@@ -24,12 +24,6 @@ def run_ok(runner, args, **kw):
 def read_csv(path: Path):
     with open(path, newline="") as fh:
         return list(csv.reader(fh))
-
-
-def test_runconfig_roundtrip():
-    cfg = RunConfig(command="sweep", inputs=("a.csv",), subgroups=("G", "D"), t_max=17)
-    recovered = RunConfig.from_dict(json.loads(report.dumps_json(cfg.to_dict())))
-    assert recovered == cfg
 
 
 def test_sweep_outputs(runner, sample_votes_path, tmp_path):
@@ -62,8 +56,8 @@ def test_sweep_outputs(runner, sample_votes_path, tmp_path):
     assert manifest["command"] == "sweep"
     assert manifest["config"]["t_max"] == 8
     assert manifest["inputs"]["votes"]["sha256"] == report.sha256_file(sample_votes_path)
-    cfg = RunConfig.from_dict(manifest["config"])
-    assert cfg.subgroups == ("G", "D")
+    assert manifest["config"]["subgroups"] == ["G", "D"]
+    assert manifest["config"]["out_dir"] == str(tmp_path)
 
 
 def test_sweep_json_format(runner, sample_votes_path, tmp_path):
@@ -103,9 +97,14 @@ def test_sweep_unknown_subgroup_exit_1(runner, sample_votes_path, tmp_path):
 
 
 def test_out_dir_env_var(runner, sample_votes_path, tmp_path, monkeypatch):
-    monkeypatch.setenv(OUT_DIR_ENV, str(tmp_path / "from-env"))
-    run_ok(runner, ["sweep", "--input", str(sample_votes_path)])
-    assert (tmp_path / "from-env" / "sweep_G.csv").is_file()
+    monkeypatch.chdir(tmp_path)
+    # a set variable names the out dir; an empty one means the working directory
+    for value, where in ((str(tmp_path / "from-env"), tmp_path / "from-env"), ("", tmp_path)):
+        monkeypatch.setenv(OUT_DIR_ENV, value)
+        run_ok(runner, ["sweep", "--input", str(sample_votes_path)])
+        assert (where / "sweep_G.csv").is_file()
+        manifest = json.loads((where / "manifest.json").read_text())
+        assert manifest["config"]["out_dir"] == (value or ".")
 
 
 def test_chi2_votes(runner, sample_votes_path, tmp_path):
@@ -177,6 +176,19 @@ def test_chi2_missing_and_bad_inputs(runner, tmp_path):
     ])
     assert result.exit_code == 1
     assert result.output.startswith("error: ")
+    # an option of the other --kind fails before the input is read, even
+    # when its value equals the default
+    for kind, extra in (
+        ("trade", ["--subgroup", "Z"]), ("trade", ["--t-max", "-3"]), ("trade", ["--t-min", "0"]),
+        ("trade", ["--votes-format", "uci-house-votes-84"]), ("votes", ["--k", "5"]),
+    ):
+        result = runner.invoke(main, [
+            "chi2", "--input", str(tmp_path / "absent.csv"), "--kind", kind, *extra,
+            "--out-dir", str(tmp_path / "unused"),
+        ])
+        assert result.exit_code == 1, (kind, extra)
+        assert f"{extra[0]} does not apply to --kind {kind}" in result.output
+    assert not (tmp_path / "unused").exists()
 
 
 def test_trade_command(runner, trade_ring_path, tmp_path):
@@ -249,6 +261,36 @@ def test_trade_unknown_density_vertex_fails_before_census(
     assert isinstance(result.exception, SystemExit)
     assert "Nowhere" in result.output
     assert calls == []
+
+
+def test_trade_order_above_5_fails_before_census(
+    runner, trade_small_path, tmp_path, monkeypatch
+):
+    calls = []
+    monkeypatch.setattr(census, "clique_census", lambda *a, **kw: calls.append(a))
+    result = runner.invoke(main, [
+        "trade", "--input", str(trade_small_path), "--k", "2", "--orders", "3,6",
+        "--out-dir", str(tmp_path / "out"),
+    ])
+    assert result.exit_code == 1
+    assert "order 6 above the supported maximum 5" in result.output
+    assert calls == []
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("command", ["sweep", "chi2"])
+@pytest.mark.parametrize("tokens", [("G", "G"), ("a/b", "a_b")],
+                         ids=["repeated", "same-file-name"])
+def test_subgroups_sharing_a_file_name_exit_1(runner, sample_votes_path, tmp_path,
+                                              command, tokens):
+    result = runner.invoke(main, [
+        command, "--input", str(sample_votes_path),
+        *(arg for token in tokens for arg in ("--subgroup", token)),
+        "--out-dir", str(tmp_path / "out"),
+    ])
+    assert result.exit_code == 1
+    assert ", ".join(map(repr, tokens)) in result.output
+    assert not (tmp_path / "out").exists()
 
 
 def test_trade_bad_orders_exit_1(runner, trade_small_path, tmp_path):

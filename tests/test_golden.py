@@ -46,7 +46,7 @@ CASES = {
     "bounds-small": ["bounds", "--n-min", "3", "--n-max", "10", "--orders", "4,5"],
 }
 FORMATS = ("csv", "json")
-MACHINE_FIELDS = ("inputs", "out_dir")
+MACHINE_FIELDS = ("out_dir",)
 
 
 def observe(args: list[str], out: Path) -> dict:
@@ -82,6 +82,10 @@ def test_golden_outputs(case, fmt, tmp_path):
     assert got["stdout"] == want["stdout"]
     assert got["files"] == want["files"]
     assert got["manifest"] == want["manifest"]
+    # the manifest records each option the command declares, and only
+    # those; the input path is hashed under inputs instead
+    options = {param.name for param in main.commands[CASES[case][0]].params}
+    assert set(got["manifest"]["config"]) == options - {"input_path", *MACHINE_FIELDS}
 
 
 def test_golden_covers_every_case():
