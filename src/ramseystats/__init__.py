@@ -74,7 +74,7 @@ from .stats import (
     p_value,
 )
 
-__version__ = "0.1.0"
+__version__ = "0.1.0"  # the one declaration; pyproject.toml reads it
 
 __all__ = [
     "BiasSummary",

@@ -138,36 +138,30 @@ def _votes_options(fn):
     fn = click.option("--t-max", type=int, default=None,
                       help="Default: largest observed distance + 1.")(fn)
     fn = click.option("--t-min", type=int, default=0, show_default=True)(fn)
-    fn = click.option("--subgroup", "subgroups", multiple=True, default=("G",),
-                      show_default=True,
-                      help="G for all records, or a party token (D, R); repeatable.")(fn)
-    return click.option("--votes-format",
-                        type=click.Choice([ingest.UCI_FORMAT, ingest.GENERIC_FORMAT]),
-                        default=ingest.UCI_FORMAT, show_default=True)(fn)
+    return click.option("--subgroup", "subgroups", multiple=True, default=("G",),
+                        show_default=True,
+                        help="G for all records, or a party token (D, R); repeatable.")(fn)
 
 
-def _votes_sweeps(path: Path, votes_format: str, subgroups, t_min: int, t_max: int | None):
+def _votes_sweeps(path: Path, subgroups, t_min: int, t_max: int | None):
     """Load a votes file and its distance matrix once. Returns the
-    resolved t_max and a generator of (subgroup token, sweep table)."""
+    resolved t_max and a list of (subgroup token, sweep table), all
+    computed, so a bad token or range fails before any output."""
     names = [_safe_name(token) for token in subgroups]
     clash = [token for token, name in zip(subgroups, names) if names.count(name) > 1]
     if clash:
         _fail(1, f"subgroups {', '.join(map(repr, clash))} would share output files")
-    records = _load(path, lambda lines: ingest.parse_votes(lines, votes_format), "records")
+    records = _load(path, ingest.parse_votes, "records")
     dist = ingest.hamming_matrix(records)
     if t_max is None:
         t_max = max(max(row) for row in dist.d) + 1 if dist.n > 1 else 1
-
-    def tables():
-        for token in subgroups:
-            idx = None
-            if token != "G":
-                idx = ingest.party_indices(records, token)
-                if not idx:
-                    _fail(1, f"subgroup {token!r} matches no records")
-            yield token, ingest.sweep(dist, (t_min, t_max), subgroup=idx)
-
-    return t_max, tables()
+    groups = {token: None if token == "G" else ingest.party_indices(records, token)
+              for token in subgroups}
+    for token, idx in groups.items():
+        if token != "G" and not idx:
+            _fail(1, f"subgroup {token!r} matches no records")
+    return t_max, [(token, ingest.sweep(dist, (t_min, t_max), subgroup=idx))
+                   for token, idx in groups.items()]
 
 
 class _Main(click.Group):
@@ -237,9 +231,9 @@ def _sweep_report(out: Path, token: str, table: ingest.SweepTable, fmt: str) -> 
 @_input_option
 @_votes_options
 @_output_options
-def cmd_sweep(input_path, votes_format, subgroups, t_min, t_max, fmt, out_dir):
+def cmd_sweep(input_path, subgroups, t_min, t_max, fmt, out_dir):
     """Census every threshold graph of a votes dataset."""
-    t_max, tables = _votes_sweeps(input_path, votes_format, subgroups, t_min, t_max)
+    t_max, tables = _votes_sweeps(input_path, subgroups, t_min, t_max)
     out = _resolve_out_dir(out_dir)
     written = [path for token, table in tables for path in _sweep_report(out, token, table, fmt)]
     _finish(out, written, {"votes": input_path}, t_max=t_max)
@@ -308,16 +302,16 @@ def _chi2_reports(observed, expected, n, df, significance) -> list[dict]:
               help="Partner count for --kind trade.")
 @click.option("--significance", type=float, default=0.01, show_default=True)
 @_output_options
-def cmd_chi2(input_path, kind, votes_format, subgroups, t_min, t_max, df, k,
-             significance, fmt, out_dir):
+def cmd_chi2(input_path, kind, subgroups, t_min, t_max, df, k, significance, fmt,
+             out_dir):
     """Chi-squared deviation reports for a votes sweep or a trade graph."""
     ctx = click.get_current_context()
-    other = {"k"} if kind == "votes" else {"votes_format", "subgroups", "t_min", "t_max"}
+    other = {"k"} if kind == "votes" else {"subgroups", "t_min", "t_max"}
     for opt in (param for param in ctx.command.params if param.name in other):
         if ctx.get_parameter_source(opt.name) is ParameterSource.COMMANDLINE:
             _fail(1, f"{opt.opts[0]} does not apply to --kind {kind}")
     if kind == "votes":
-        t_max, tables = _votes_sweeps(input_path, votes_format, subgroups, t_min, t_max)
+        t_max, tables = _votes_sweeps(input_path, subgroups, t_min, t_max)
         if t_max <= 0:
             _fail(1, "need a positive t-max to normalize thresholds")
         notes = [
@@ -325,12 +319,12 @@ def cmd_chi2(input_path, kind, votes_format, subgroups, t_min, t_max, df, k,
             "red is the threshold color (distance <= t), so its expected "
             "fraction is (t/t_max)^3",
         ]
-        cases = (
+        cases = [
             (token, table.n, *_chi2_series(
                 table.n, [(r.t, r.census, Fraction(r.t, t_max)) for r in table.rows], "red"
             ))
             for token, table in tables
-        )
+        ]
     else:
         graph = _trade_graph(input_path, k)
         t_norm = stats.normalized_threshold(k, graph.n)
@@ -342,10 +336,11 @@ def cmd_chi2(input_path, kind, votes_format, subgroups, t_min, t_max, df, k,
         census = census_lib.triangle_census(graph)
         cases = [("trade", graph.n, *_chi2_series(graph.n, [(float(t_norm), census, t_norm)],
                                                   "blue"))]
+    reports = [_chi2_reports(observed, expected, n, df, significance)
+               for _, n, observed, expected in cases]  # fail before writing anything
     out = _resolve_out_dir(out_dir)
     written = []
-    for token, n, observed, expected in cases:
-        rows = _chi2_reports(observed, expected, n, df, significance)
+    for (token, n, observed, expected), rows in zip(cases, reports):
         click.echo(f"chi2 {token}:")
         body = [
             [r["comparison"], r["series"], f"{r['statistic']:.3f}", r["df"],
@@ -397,7 +392,6 @@ def cmd_trade(input_path, k, orders, density_vertex, clique_budget, fmt, out_dir
     for label in density_vertex:
         if label not in labels:
             _fail(1, f"no vertex labelled {label!r} in the trade graph")
-    out = _resolve_out_dir(out_dir)
 
     top = sorted(
         ((graph.degree(v, Color.BLUE), labels[v]) for v in range(n)),
@@ -476,6 +470,7 @@ def cmd_trade(input_path, k, orders, density_vertex, clique_budget, fmt, out_dir
         summary += bias._asdict().items()
     summary += [(f"density_{label}", "undefined" if value is None else value)
                 for label, value in densities.items()]
+    out = _resolve_out_dir(out_dir)
     written = _report(out, fmt, "trade", doc, {
         "trade_summary": [{"key": key, "value": value} for key, value in summary],
         "trade_census": census_rows,
@@ -521,7 +516,6 @@ def cmd_trade(input_path, k, orders, density_vertex, clique_budget, fmt, out_dir
 def cmd_simulate(n, t_min, t_max, t_step, samples, seed, exhaustive, fmt, out_dir):
     """Monte Carlo monochromatic counts against the analytic expectation."""
     floor = bounds_lib.goodman_min(n)
-    out = _resolve_out_dir(out_dir)
     doc = {"command": "simulate", "n": n, "goodman_floor": floor}
     stem = "simulate_exhaustive" if exhaustive else "simulate"
     if exhaustive:
@@ -573,6 +567,7 @@ def cmd_simulate(n, t_min, t_max, t_step, samples, seed, exhaustive, fmt, out_di
         ]
         click.echo(report.format_table(["t", "analytic", "empirical", "stderr"], body))
         click.echo(f"goodman floor {floor} monochromatic triangles at n={n}")
+    out = _resolve_out_dir(out_dir)
     written = _report(out, fmt, stem, doc, {stem: rows})
     _finish(out, written, {})
 

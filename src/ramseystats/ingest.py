@@ -31,10 +31,7 @@ from .census import (
 from .coloring import TwoColoring, from_blue_edges
 from .errors import InputError, ParseError
 
-UCI_FORMAT = "uci-house-votes-84"
-GENERIC_FORMAT = "generic-csv"
-
-_UCI_FIELDS = 17
+_HOUSE_VOTES_FIELDS = 17
 _VOTE_TOKENS = {"y": "Y", "n": "N", "?": "A", "a": "A"}
 _PARTIES = {"republican": "R", "democrat": "D"}
 
@@ -114,21 +111,41 @@ class DistanceMatrix:
         return DistanceMatrix(rows, labels=labels)
 
 
-def parse_votes(lines: Iterable[str], fmt: str = UCI_FORMAT) -> list[VoterRecord]:
-    """Parse vote records from CSV lines.
+def parse_votes(lines: Iterable[str]) -> list[VoterRecord]:
+    """Parse vote records from CSV lines; the first row picks the layout.
 
-    The house-votes format has 17 comma-separated fields per line: a
-    party name followed by 16 vote tokens in {y, n, ?}. Tokens
-    normalize to Y/N/A and parties to R/D (anything else is kept
-    verbatim); ids are 1-based line ordinals. The generic format reads
-    a header instead: an optional `id` column, a required `party`
-    column, and one column per vote position.
+    A first row with a `party` cell is a header: an optional `id`
+    column, the `party` column, and one vote column per other column;
+    ids come from `id`, or else are the line number less one.
+    Otherwise every row is a house-votes record of 17 fields, a party
+    name followed by 16 vote tokens, and ids are 1-based line numbers.
+    Vote tokens y/n/? normalize to Y/N/A and parties to R/D (anything
+    else is kept verbatim); blank rows are skipped.
     """
-    if fmt == UCI_FORMAT:
-        return _parse_uci(lines)
-    if fmt == GENERIC_FORMAT:
-        return _parse_generic(lines)
-    raise InputError(f"unknown votes format {fmt!r}")
+    rows = list(csv.reader(lines))
+    cols = [cell.strip().lower() for cell in rows[0]] if rows else []
+    if "party" in cols:
+        fields, party_at, header_rows = len(cols), cols.index("party"), 1
+        id_at = cols.index("id") if "id" in cols else None
+        vote_at = [i for i in range(len(cols)) if i not in (party_at, id_at)]
+        if not vote_at:
+            raise ParseError("header declares no vote columns", line=1)
+    else:
+        fields, party_at, header_rows, id_at = _HOUSE_VOTES_FIELDS, 0, 0, None
+        vote_at = range(1, _HOUSE_VOTES_FIELDS)
+    records = []
+    for lineno, row in enumerate(rows[header_rows:], start=1 + header_rows):
+        if not "".join(row).strip():  # a blank row
+            continue
+        if len(row) != fields:
+            raise ParseError(f"expected {fields} fields, got {len(row)}", line=lineno)
+        party_tok = row[party_at].strip()
+        records.append(VoterRecord(
+            id=row[id_at].strip() if id_at is not None else str(lineno - header_rows),
+            party=_PARTIES.get(party_tok.lower(), party_tok),
+            votes=_normalize_votes([row[i] for i in vote_at], lineno),
+        ))
+    return records
 
 
 def _normalize_votes(tokens: Sequence[str], lineno: int) -> str:
@@ -139,61 +156,6 @@ def _normalize_votes(tokens: Sequence[str], lineno: int) -> str:
             raise ParseError(f"unknown vote token {tok.strip()!r}", line=lineno)
         out.append(ch)
     return "".join(out)
-
-
-def _parse_uci(lines: Iterable[str]) -> list[VoterRecord]:
-    records = []
-    for lineno, raw in enumerate(lines, start=1):
-        line = raw.strip()
-        if not line:
-            continue
-        fields = line.split(",")
-        if len(fields) != _UCI_FIELDS:
-            raise ParseError(
-                f"expected {_UCI_FIELDS} fields, got {len(fields)}", line=lineno
-            )
-        party_tok = fields[0].strip()
-        party = _PARTIES.get(party_tok.lower(), party_tok)
-        records.append(
-            VoterRecord(
-                id=str(lineno),
-                party=party,
-                votes=_normalize_votes(fields[1:], lineno),
-            )
-        )
-    return records
-
-
-def _parse_generic(lines: Iterable[str]) -> list[VoterRecord]:
-    reader = csv.reader(lines)
-    header = next(reader, None)
-    if header is None:
-        return []
-    cols = [h.strip().lower() for h in header]
-    if "party" not in cols:
-        raise ParseError("header must declare a 'party' column", line=1)
-    party_at = cols.index("party")
-    id_at = cols.index("id") if "id" in cols else None
-    vote_at = [i for i in range(len(cols)) if i not in (party_at, id_at)]
-    if not vote_at:
-        raise ParseError("header declares no vote columns", line=1)
-    records = []
-    for lineno, row in enumerate(reader, start=2):
-        if not row or all(not cell.strip() for cell in row):
-            continue
-        if len(row) != len(cols):
-            raise ParseError(
-                f"expected {len(cols)} fields, got {len(row)}", line=lineno
-            )
-        party_tok = row[party_at].strip()
-        records.append(
-            VoterRecord(
-                id=row[id_at].strip() if id_at is not None else str(lineno - 1),
-                party=_PARTIES.get(party_tok.lower(), party_tok),
-                votes=_normalize_votes([row[i] for i in vote_at], lineno),
-            )
-        )
-    return records
 
 
 def party_indices(records: Sequence[VoterRecord], party: str) -> list[int]:
@@ -304,6 +266,8 @@ def sweep(
         if len(subgroup) == 0:
             raise InputError("subgroup must not be empty")
         d = d.submatrix(subgroup)
+    if d.n < 3:
+        raise InputError(f"a sweep needs at least 3 records, got {d.n}")
 
     rows = []
     for t in range(t_min, t_max + 1):

@@ -16,8 +16,9 @@ import math
 from dataclasses import fields, is_dataclass
 from enum import Enum
 from fractions import Fraction
-from importlib import metadata
 from pathlib import Path
+
+from . import __version__
 
 
 def round3(x) -> float:
@@ -92,13 +93,6 @@ def sha256_file(path: Path) -> str:
     return hashlib.sha256(path.read_bytes()).hexdigest()
 
 
-def _version() -> str:
-    try:
-        return metadata.version("ramseystats")
-    except metadata.PackageNotFoundError:
-        return "0+unknown"
-
-
 def write_manifest(out_dir: Path, command: str, config: dict, inputs) -> Path:
     """Record what produced this output directory.
 
@@ -112,7 +106,7 @@ def write_manifest(out_dir: Path, command: str, config: dict, inputs) -> Path:
             name: {"path": str(p), "sha256": sha256_file(Path(p))}
             for name, p in inputs.items()
         },
-        "version": _version(),
+        "version": __version__,
     }
     path = out_dir / "manifest.json"
     write_json(path, doc)

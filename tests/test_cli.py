@@ -96,6 +96,63 @@ def test_sweep_unknown_subgroup_exit_1(runner, sample_votes_path, tmp_path):
     assert result.exit_code == 1
 
 
+@pytest.mark.parametrize("command", ["sweep", "chi2"])
+def test_header_layout_writes_the_same_files(runner, sample_votes_path, tmp_path, command):
+    headed = tmp_path / "headed.csv"
+    header = ",".join(["party", *(f"v{j}" for j in range(1, 17))])
+    headed.write_text(header + "\n" + sample_votes_path.read_text())
+    outputs = {}
+    for path in (sample_votes_path, headed):
+        out = tmp_path / path.stem
+        result = run_ok(runner, [command, "--input", str(path), "--out-dir", str(out)])
+        files = {p.name: p.read_bytes() for p in out.iterdir() if p.name != "manifest.json"}
+        outputs[path] = result.stdout.replace(str(out), "<out>"), files
+    assert outputs[headed] == outputs[sample_votes_path]
+
+
+def test_votes_format_option_is_gone(runner, sample_votes_path, tmp_path):
+    for command in ("sweep", "chi2"):
+        result = runner.invoke(main, [
+            command, "--input", str(sample_votes_path), "--votes-format", "generic-csv",
+            "--out-dir", str(tmp_path / "out"),
+        ])
+        assert result.exit_code == 2
+        assert "No such option" in result.output and "--votes-format" in result.output
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("command", ["sweep", "chi2"])
+@pytest.mark.parametrize("extra", [
+    ["--subgroup", "G", "--subgroup", "X"],  # X matches no records
+    ["--subgroup", "G", "--subgroup", "R"],  # R has 2 records
+    ["--t-min", "5", "--t-max", "2"],
+    ["--t-min", "-1"],
+], ids=["no-match", "two-records", "empty-range", "negative-t"])
+def test_bad_subgroup_or_range_writes_nothing(runner, sample_votes_path, tmp_path,
+                                              command, extra):
+    result = runner.invoke(main, [
+        command, "--input", str(sample_votes_path), *extra, "--out-dir", str(tmp_path / "out"),
+    ])
+    assert result.exit_code == 1
+    assert result.output.startswith("error: ")
+    assert not (tmp_path / "out").exists()
+
+
+def test_late_failures_write_nothing(runner, sample_votes_path, tmp_path):
+    votes, two = str(sample_votes_path), tmp_path / "two.csv"
+    two.write_text("exporter,importer,volume\nA,B,3\n")
+    for args in (
+        ["chi2", "--input", votes, "--subgroup", "G", "--subgroup", "D"],  # n=4, floor 0
+        ["chi2", "--input", votes, "--df", "0"],
+        ["trade", "--input", str(two)],
+        ["simulate", "--n", "6", "--samples", "0"],
+        ["simulate", "--n", "30", "--exhaustive"],
+    ):
+        result = runner.invoke(main, [*args, "--out-dir", str(tmp_path / "out")])
+        assert result.exit_code == 1, args
+        assert not (tmp_path / "out").exists(), args
+
+
 def test_out_dir_env_var(runner, sample_votes_path, tmp_path, monkeypatch):
     monkeypatch.chdir(tmp_path)
     # a set variable names the out dir; an empty one means the working directory
@@ -180,7 +237,7 @@ def test_chi2_missing_and_bad_inputs(runner, tmp_path):
     # when its value equals the default
     for kind, extra in (
         ("trade", ["--subgroup", "Z"]), ("trade", ["--t-max", "-3"]), ("trade", ["--t-min", "0"]),
-        ("trade", ["--votes-format", "uci-house-votes-84"]), ("votes", ["--k", "5"]),
+        ("votes", ["--k", "5"]),
     ):
         result = runner.invoke(main, [
             "chi2", "--input", str(tmp_path / "absent.csv"), "--kind", kind, *extra,

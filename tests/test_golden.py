@@ -3,8 +3,9 @@
 For each case in CASES, run in both --formats, golden.json pins the
 sha256 of every csv/json file written to --out-dir, the command's
 stdout (with the out dir spelled "<out>"), and manifest.json less the
-fields that depend on the machine: the input paths, the out dir and
-the library version. Any change to output bytes shows here.
+input paths and the out dir, which depend on the machine, and the
+library version, which changes with each release. Any change to output
+bytes shows here.
 
 Regenerate golden.json only after a deliberate output change:
 

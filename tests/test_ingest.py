@@ -1,6 +1,8 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import oracles
 import ramseystats as rs
@@ -27,8 +29,6 @@ def test_parse_uci_errors_carry_line_numbers():
         rs.parse_votes([good, "democrat,y,n"])
     with pytest.raises(rs.ParseError, match="line 1.*'x'"):
         rs.parse_votes(["democrat," + ",".join(["x"] * 16)])
-    with pytest.raises(rs.InputError):
-        rs.parse_votes([good], fmt="no-such-format")
 
 
 def test_parse_generic():
@@ -37,14 +37,63 @@ def test_parse_generic():
         "a,democrat,y,n,?",
         "b,republican,n,n,y",
     ]
-    recs = rs.parse_votes(lines, fmt="generic-csv")
+    recs = rs.parse_votes(lines)
     assert [r.id for r in recs] == ["a", "b"]
     assert recs[0].party == "D" and recs[0].votes == "YNA"
     # party column is required
     with pytest.raises(rs.ParseError, match="line 1"):
-        rs.parse_votes(["id,v1", "a,y"], fmt="generic-csv")
+        rs.parse_votes(["id,v1", "a,y"])
     with pytest.raises(rs.ParseError, match="line 1"):
-        rs.parse_votes(["id,party"], fmt="generic-csv")
+        rs.parse_votes(["id,party"])
+
+
+PADDING = st.sampled_from(["", " ", "  "])
+BLANK_LINES = st.lists(st.sampled_from(["", "   "]), max_size=2)
+
+
+@settings(deadline=None)
+@given(data=st.data())
+def test_both_layouts_parse_alike(data):
+    """The same records, written headerless and under a header (columns
+    in any order, with or without id), parse to the same parties and
+    votes; ids follow each layout's rule."""
+    draw = data.draw
+
+    def jumble(word):  # random case, spaces around
+        cased = "".join(ch.upper() if draw(st.booleans()) else ch for ch in word)
+        return draw(PADDING) + cased + draw(PADDING)
+
+    n = draw(st.integers(0, 5))
+    parties = [jumble(draw(st.sampled_from(["democrat", "republican", "whig"])))
+               for _ in range(n)]
+    votes = [[jumble(draw(st.sampled_from("yn?"))) for _ in range(16)] for _ in range(n)]
+    want = [
+        ({"democrat": "D", "republican": "R"}.get(p.strip().lower(), p.strip()),
+         "".join({"y": "Y", "n": "N", "?": "A"}[v.strip().lower()] for v in vs))
+        for p, vs in zip(parties, votes)
+    ]
+
+    plain, plain_ids = [], []
+    for party, vs in zip(parties, votes):
+        plain += draw(BLANK_LINES)
+        plain.append(",".join([party, *vs]))
+        plain_ids.append(str(len(plain)))
+
+    cols = [f"v{j}" for j in range(1, 17)]
+    with_id = draw(st.booleans())
+    for name in ("party", "id") if with_id else ("party",):
+        cols.insert(draw(st.integers(0, len(cols))), name)
+    headed, headed_ids = [",".join(jumble(col) for col in cols)], []
+    for i, (party, vs) in enumerate(zip(parties, votes)):
+        headed += draw(BLANK_LINES)
+        cells, rest = {"party": party, "id": f" r{i} "}, iter(vs)
+        headed.append(",".join(cells[col] if col in cells else next(rest) for col in cols))
+        headed_ids.append(f"r{i}" if with_id else str(len(headed) - 1))
+
+    for lines, ids in ((plain, plain_ids), (headed, headed_ids)):
+        recs = rs.parse_votes(lines)
+        assert [(r.party, r.votes) for r in recs] == want
+        assert [r.id for r in recs] == ids
 
 
 def test_party_indices(sample_records):
@@ -174,6 +223,8 @@ def test_sweep_subgroup(sample_matrix, sample_records):
     assert table.rows[5].mono_fraction == 1
     with pytest.raises(rs.InputError):
         rs.sweep(sample_matrix, (0, 2), subgroup=[])
+    with pytest.raises(rs.InputError, match="at least 3 records, got 2"):
+        rs.sweep(sample_matrix, (0, 2), subgroup=idx[:2])
     with pytest.raises(rs.InputError):
         rs.sweep(sample_matrix, (3, 2))
 

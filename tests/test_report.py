@@ -3,7 +3,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from ramseystats import Chi2Kind, report
+from ramseystats import Chi2Kind, __version__, report
 
 
 def test_round3_half_to_even():
@@ -72,4 +72,4 @@ def test_write_and_hash(tmp_path):
     assert doc["command"] == "sweep"
     assert doc["config"] == {"k": 1}
     assert doc["inputs"]["input"]["sha256"] == digest
-    assert "version" in doc
+    assert doc["version"] == __version__
