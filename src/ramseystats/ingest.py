@@ -3,7 +3,10 @@
 Three routes in:
   * categorical vote records -> Hamming distance matrix -> threshold
     colorings (red at or below the threshold, blue above), swept over a
-    threshold range with optional party subgroups;
+    threshold range with optional party subgroups; the sweep is one
+    pass over the pairs in distance order, one popcount per pair turning
+    red, with the blue triangles from Goodman's degree identity, so it
+    builds no coloring per threshold;
   * directed weighted trade flows -> blue edges to each country's top-k
     import and export partners, red elsewhere;
   * a seeded random coloring for simulation baselines.
@@ -22,12 +25,7 @@ from fractions import Fraction
 from typing import Iterable, Sequence
 
 from .bounds import GoodmanBound, goodman_fraction
-from .census import (
-    CliqueCensus,
-    TransitivityReport,
-    transitivity_from_census,
-    triangle_census,
-)
+from .census import CliqueCensus, TransitivityReport, transitivity_from_census
 from .coloring import TwoColoring, from_blue_edges
 from .errors import InputError, ParseError
 
@@ -257,7 +255,15 @@ def sweep(
     """Census every threshold graph for t in the inclusive range.
 
     With a subgroup, the distance matrix is first restricted to those
-    indices. Rows come back ordered by t.
+    indices. Rows come back ordered by t, and each equals the triangle
+    census of `threshold_coloring(d, t)`.
+
+    The threshold graphs are nested, so the sweep is one pass over the
+    pairs in distance order: a pair turning red closes one red triangle
+    per common red neighbour, one popcount of the two red rows. The
+    blue count then follows from the red degrees by Goodman's identity,
+    mono = C(n,3) - 1/2 * sum_v r_v (n-1-r_v). A threshold that turns
+    no pair red reuses the previous row's census.
     """
     t_min, t_max = t_range
     if t_min > t_max:
@@ -266,16 +272,51 @@ def sweep(
         if len(subgroup) == 0:
             raise InputError("subgroup must not be empty")
         d = d.submatrix(subgroup)
-    if d.n < 3:
-        raise InputError(f"a sweep needs at least 3 records, got {d.n}")
+    n = d.n
+    if n < 3:
+        raise InputError(f"a sweep needs at least 3 records, got {n}")
+    if t_min < 0:
+        raise InputError(f"threshold must be >= 0, got {t_min}")
 
+    # joins[t][a]: bitmask of the b > a whose pair with a turns red at t.
+    # Pairs at or below t_min join at t_min; pairs above t_max never do.
+    # Only thresholds that turn some pair red have an entry, apart from
+    # t_min, whose census every later row starts from.
+    joins: dict[int, dict[int, int]] = {t_min: {}}
+    for a, row in enumerate(d.d):
+        by_distance: dict[int, int] = {}
+        for b in range(a + 1, n):
+            dist = row[b]
+            by_distance[dist] = by_distance.get(dist, 0) | 1 << b
+        for dist, mask in by_distance.items():
+            if dist <= t_max:
+                at_t = joins.setdefault(max(dist, t_min), {})
+                at_t[a] = at_t.get(a, 0) | mask
+
+    total = math.comb(n, 3)
+    red = [0] * n
+    red_count = 0
     rows = []
     for t in range(t_min, t_max + 1):
-        census = triangle_census(threshold_coloring(d, t))
-        rows.append(SweepRow(
-            t=t, census=census, transitivity=transitivity_from_census(census)
-        ))
-    return SweepTable(n=d.n, rows=tuple(rows), goodman=goodman_fraction(d.n))
+        at_t = joins.get(t)
+        if at_t is not None:
+            for a, new in at_t.items():
+                red_a = red[a]
+                bit_a = 1 << a
+                while new:
+                    low = new & -new
+                    new ^= low
+                    b = low.bit_length() - 1
+                    red_count += (red_a & red[b]).bit_count()
+                    red_a |= low
+                    red[b] |= bit_a
+                red[a] = red_a
+            mixed = sum(r * (n - 1 - r) for r in map(int.bit_count, red)) // 2
+            census = CliqueCensus(n=n, m=3, total=total, red_count=red_count,
+                                  blue_count=total - mixed - red_count)
+            transitivity = transitivity_from_census(census)
+        rows.append(SweepRow(t=t, census=census, transitivity=transitivity))
+    return SweepTable(n=n, rows=tuple(rows), goodman=goodman_fraction(n))
 
 
 def parse_trade_flows(lines: Iterable[str]) -> list[TradeFlow]:

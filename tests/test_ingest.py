@@ -1,12 +1,13 @@
+import time
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import oracles
 import ramseystats as rs
-from ramseystats import Color
+from ramseystats import Color, ingest
 from conftest import SIX_VOTER_MATRIX
 
 
@@ -47,47 +48,74 @@ def test_parse_generic():
         rs.parse_votes(["id,party"])
 
 
-PADDING = st.sampled_from(["", " ", "  "])
+PADDING = ("", " ", "  ")
 BLANK_LINES = st.lists(st.sampled_from(["", "   "]), max_size=2)
 
 
-@settings(deadline=None)
-@given(data=st.data())
-def test_both_layouts_parse_alike(data):
-    """The same records, written headerless and under a header (columns
-    in any order, with or without id), parse to the same parties and
-    votes; ids follow each layout's rule."""
-    draw = data.draw
+def jumbled(words):
+    """One of words in random case, with spaces around: one draw picks
+    the word, one its spelling."""
+    def spellings(word):
+        return [
+            left + "".join(ch.upper() if upper >> i & 1 else ch for i, ch in enumerate(word))
+            + right
+            for upper in range(1 << len(word)) for left in PADDING for right in PADDING
+        ]
+    return st.one_of([st.sampled_from(spellings(word)) for word in words])
 
-    def jumble(word):  # random case, spaces around
-        cased = "".join(ch.upper() if draw(st.booleans()) else ch for ch in word)
-        return draw(PADDING) + cased + draw(PADDING)
 
-    n = draw(st.integers(0, 5))
-    parties = [jumble(draw(st.sampled_from(["democrat", "republican", "whig"])))
-               for _ in range(n)]
-    votes = [[jumble(draw(st.sampled_from("yn?"))) for _ in range(16)] for _ in range(n)]
-    want = [
-        ({"democrat": "D", "republican": "R"}.get(p.strip().lower(), p.strip()),
-         "".join({"y": "Y", "n": "N", "?": "A"}[v.strip().lower()] for v in vs))
-        for p, vs in zip(parties, votes)
-    ]
+# One record: its party, its 16 votes, and the blank lines before it
+# in the headerless and in the headed file.
+RECORDS = st.lists(
+    st.tuples(
+        jumbled(["democrat", "republican", "whig"]),
+        st.lists(jumbled("yn?"), min_size=16, max_size=16),
+        BLANK_LINES,
+        BLANK_LINES,
+    ),
+    max_size=5,
+)
 
-    plain, plain_ids = [], []
-    for party, vs in zip(parties, votes):
-        plain += draw(BLANK_LINES)
-        plain.append(",".join([party, *vs]))
-        plain_ids.append(str(len(plain)))
 
-    cols = [f"v{j}" for j in range(1, 17)]
+VOTE_COLUMNS = [f"v{j}" for j in range(1, 17)]
+HEADER_CELLS = {col: jumbled([col]) for col in ["party", "id", *VOTE_COLUMNS]}
+
+
+@st.composite
+def headers(draw):
+    """Header columns v1..v16 with party, and maybe id, at random
+    positions, each cell jumbled; and whether id is among them."""
+    cols = list(VOTE_COLUMNS)
     with_id = draw(st.booleans())
     for name in ("party", "id") if with_id else ("party",):
         cols.insert(draw(st.integers(0, len(cols))), name)
-    headed, headed_ids = [",".join(jumble(col) for col in cols)], []
-    for i, (party, vs) in enumerate(zip(parties, votes)):
-        headed += draw(BLANK_LINES)
-        cells, rest = {"party": party, "id": f" r{i} "}, iter(vs)
-        headed.append(",".join(cells[col] if col in cells else next(rest) for col in cols))
+    return cols, [draw(HEADER_CELLS[col]) for col in cols], with_id
+
+
+@settings(deadline=None)
+@given(records=RECORDS, header=headers())
+def test_both_layouts_parse_alike(records, header):
+    """The same records, written headerless and under a header (columns
+    in any order, with or without id), parse to the same parties and
+    votes; ids follow each layout's rule."""
+    want = [
+        ({"democrat": "D", "republican": "R"}.get(p.strip().lower(), p.strip()),
+         "".join({"y": "Y", "n": "N", "?": "A"}[v.strip().lower()] for v in vs))
+        for p, vs, _, _ in records
+    ]
+
+    plain, plain_ids = [], []
+    for party, vs, blanks, _ in records:
+        plain += blanks
+        plain.append(",".join([party, *vs]))
+        plain_ids.append(str(len(plain)))
+
+    cols, cells, with_id = header
+    headed, headed_ids = [",".join(cells)], []
+    for i, (party, vs, _, blanks) in enumerate(records):
+        headed += blanks
+        named, rest = {"party": party, "id": f" r{i} "}, iter(vs)
+        headed.append(",".join(named[col] if col in named else next(rest) for col in cols))
         headed_ids.append(f"r{i}" if with_id else str(len(headed) - 1))
 
     for lines, ids in ((plain, plain_ids), (headed, headed_ids)):
@@ -227,6 +255,84 @@ def test_sweep_subgroup(sample_matrix, sample_records):
         rs.sweep(sample_matrix, (0, 2), subgroup=idx[:2])
     with pytest.raises(rs.InputError):
         rs.sweep(sample_matrix, (3, 2))
+
+
+@st.composite
+def sweep_cases(draw):
+    """A symmetric matrix with distances in 0..hi (many ties; all zero
+    when hi is 0), a threshold range that may start or end beyond the
+    largest distance, and maybe a subgroup in random order."""
+    n = draw(st.integers(3, 12))
+    hi = draw(st.integers(0, 3))
+    upper = iter(draw(st.lists(st.integers(0, hi), min_size=n * (n - 1) // 2,
+                               max_size=n * (n - 1) // 2)))
+    d = [[0] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(i + 1, n):
+            d[i][j] = d[j][i] = next(upper)
+    t_min = draw(st.integers(0, hi + 2))
+    t_max = draw(st.integers(t_min, t_min + hi + 2))
+    subgroup = draw(st.none() | st.permutations(range(n)).flatmap(
+        lambda order: st.integers(3, n).map(lambda k: order[:k])))
+    return rs.DistanceMatrix(d), (t_min, t_max), subgroup
+
+
+ZEROS = rs.DistanceMatrix([[0] * 5] * 5)
+PATH = rs.DistanceMatrix([[abs(i - j) for j in range(5)] for i in range(5)])
+
+
+@settings(deadline=None)
+@given(case=sweep_cases())
+@example(case=(ZEROS, (0, 2), None))
+@example(case=(ZEROS, (1, 1), [4, 0, 2]))
+@example(case=(PATH, (2, 2), None))
+@example(case=(PATH, (5, 8), [3, 1, 4, 0]))
+def test_sweep_matches_per_threshold_census(case):
+    d, (t_min, t_max), subgroup = case
+    table = rs.sweep(d, (t_min, t_max), subgroup)
+    sub = d if subgroup is None else d.submatrix(subgroup)
+    assert table.n == sub.n
+    assert table.goodman == rs.goodman_fraction(sub.n)
+    assert [row.t for row in table.rows] == list(range(t_min, t_max + 1))
+    for row in table.rows:
+        census = rs.triangle_census(rs.threshold_coloring(sub, row.t))
+        assert row.census == census
+        assert row.transitivity == rs.transitivity_from_census(census)
+
+
+def test_sweep_error_messages(sample_matrix):
+    cases = [
+        ((-1, 3), None, "threshold must be >= 0, got -1"),
+        ((3, 2), None, "empty threshold range [3, 2]"),
+        ((0, 3), [], "subgroup must not be empty"),
+        ((0, 3), [1, 1, 2], "submatrix indices must be distinct"),
+        ((0, 3), [1, 2], "a sweep needs at least 3 records, got 2"),
+    ]
+    for t_range, subgroup, message in cases:
+        with pytest.raises(rs.InputError) as err:
+            rs.sweep(sample_matrix, t_range, subgroup)
+        assert str(err.value) == message
+
+
+def test_sweep_far_past_the_largest_distance(sample_matrix):
+    start = time.perf_counter()
+    table = rs.sweep(sample_matrix, (0, 20_000))
+    elapsed = time.perf_counter() - start
+    assert len(table.rows) == 20_001
+    all_red = rs.CliqueCensus(n=6, m=3, total=20, red_count=20, blue_count=0)
+    largest = max(map(max, sample_matrix.d))
+    for row in table.rows[largest:]:
+        assert row.census == all_red
+        assert row.transitivity == rs.transitivity_from_census(all_red)
+    assert elapsed < 2.0
+
+
+def test_sweep_builds_no_coloring(monkeypatch, sample_matrix):
+    def refuse(*args, **kwargs):
+        raise AssertionError("sweep built a coloring")
+    monkeypatch.setattr(ingest, "threshold_coloring", refuse)
+    monkeypatch.setattr(ingest, "TwoColoring", refuse)
+    assert len(rs.sweep(sample_matrix, (0, 8)).rows) == 9
 
 
 def test_parse_trade_flows(trade_small_path):
