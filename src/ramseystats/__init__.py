@@ -15,7 +15,6 @@ from .bounds import (
     expected_mono,
     goodman_fraction,
     goodman_min,
-    schwenk_forced,
     thomason_bound,
 )
 from .census import (
@@ -24,6 +23,7 @@ from .census import (
     TransitivityReport,
     clique_census,
     max_clique,
+    mono_triangles,
     neighborhood_density,
     per_vertex_triangles,
     transitivity,
@@ -33,7 +33,6 @@ from .census import (
 from .coloring import (
     Color,
     TwoColoring,
-    enumerate_colorings,
     from_blue_edges,
     path_count,
 )
@@ -106,13 +105,13 @@ __all__ = [
     "chi2_vs_expectation",
     "chi2_vs_goodman",
     "clique_census",
-    "enumerate_colorings",
     "expected_mono",
     "from_blue_edges",
     "goodman_fraction",
     "goodman_min",
     "hamming_matrix",
     "max_clique",
+    "mono_triangles",
     "neighborhood_density",
     "normalized_threshold",
     "p_value",
@@ -122,7 +121,6 @@ __all__ = [
     "path_count",
     "per_vertex_triangles",
     "random_coloring",
-    "schwenk_forced",
     "sweep",
     "threshold_coloring",
     "thomason_bound",

@@ -20,29 +20,12 @@ from .errors import InputError, UnsupportedOrderError
 def goodman_min(n: int) -> int:
     """Minimum monochromatic triangles forced in any two-colored K_n.
 
-    Three-case form: m(m-1)(m-2)/3 for n = 2m, 2m(m-1)(4m+1)/3 for
-    n = 4m+1, and 2m(m+1)(4m-1)/3 for n = 4m+3. Zero for n <= 5.
+    Schwenk's single floor form C(n,3) - floor(n/2 * floor((n-1)^2 / 4)),
+    zero for n <= 5. The tests check it against Goodman's three-case
+    form (n = 2m, 4m+1, 4m+3), kept there as the reference.
     """
     if n < 1:
         raise InputError(f"vertex count must be >= 1, got {n}")
-    if n % 2 == 0:
-        m = n // 2
-        return m * (m - 1) * (m - 2) // 3
-    if n % 4 == 1:
-        m = (n - 1) // 4
-        return 2 * m * (m - 1) * (4 * m + 1) // 3
-    m = (n - 3) // 4
-    return 2 * m * (m + 1) * (4 * m - 1) // 3
-
-
-def schwenk_forced(n: int) -> int:
-    """Forced monochromatic triangle count in the single floor form.
-
-    F(n) = C(n,3) - floor(n/2 * floor((n-1)^2 / 4)). Agrees with
-    goodman_min for every n; the two are cross-checked in the tests.
-    """
-    if n < 3:
-        raise InputError(f"need n >= 3, got {n}")
     return comb(n, 3) - n * ((n - 1) ** 2 // 4) // 2
 
 
@@ -66,7 +49,7 @@ def goodman_fraction(n: int) -> GoodmanBound:
     """Forced monochromatic-triangle fraction of the C(n,3) total."""
     if n < 3:
         raise InputError(f"need n >= 3, got {n}")
-    forced = schwenk_forced(n)
+    forced = goodman_min(n)
     return GoodmanBound(
         n=n,
         forced_count=forced,

@@ -16,6 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from math import comb
+from typing import Iterable
 
 from .coloring import Color, TwoColoring, iter_bits
 from .errors import InputError, UndefinedDensityError, UnsupportedOrderError
@@ -139,6 +140,20 @@ def clique_census(coloring: TwoColoring, m: int) -> CliqueCensus:
     if coloring.n < m:
         raise InputError(f"need at least {m} vertices, got {coloring.n}")
     return _census(coloring, m)
+
+
+def mono_triangles(n: int, degrees: Iterable[int]) -> int:
+    """Monochromatic triangles of a two-colored K_n, from degrees alone.
+
+    Goodman's identity: mono = C(n,3) - 1/2 * sum_v d_v (n-1-d_v), with
+    d_v the degree of vertex v in one color, either one. At v there are
+    d_v (n-1-d_v) pairs of edges of different colors; a triangle that is
+    not monochromatic holds two such pairs, a monochromatic one none.
+    Holds for any n >= 1.
+    """
+    if n < 1:
+        raise InputError(f"vertex count must be >= 1, got {n}")
+    return comb(n, 3) - sum(d * (n - 1 - d) for d in degrees) // 2
 
 
 def per_vertex_triangles(coloring: TwoColoring, color: Color) -> list[int]:

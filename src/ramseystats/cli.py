@@ -25,6 +25,7 @@ import sys
 from collections import Counter
 from dataclasses import asdict
 from fractions import Fraction
+from itertools import combinations
 from math import comb, sqrt
 from pathlib import Path
 
@@ -34,7 +35,7 @@ from click.core import ParameterSource
 from . import bounds as bounds_lib
 from . import census as census_lib
 from . import ingest, report, stats
-from .coloring import Color, enumerate_colorings
+from .coloring import Color
 from .errors import InputError, ParseError, UndefinedBiasError, UndefinedDensityError
 
 OUT_DIR_ENV = "RAMSEYSTATS_OUT_DIR"
@@ -146,15 +147,20 @@ def _votes_options(fn):
 def _votes_sweeps(path: Path, subgroups, t_min: int, t_max: int | None):
     """Load a votes file and its distance matrix once. Returns the
     resolved t_max and a list of (subgroup token, sweep table), all
-    computed, so a bad token or range fails before any output."""
+    computed, so a bad token or range fails before any output. A t_max
+    above the vote count + 1 only repeats the all-red row, so it fails."""
     names = [_safe_name(token) for token in subgroups]
     clash = [token for token, name in zip(subgroups, names) if names.count(name) > 1]
     if clash:
         _fail(1, f"subgroups {', '.join(map(repr, clash))} would share output files")
     records = _load(path, ingest.parse_votes, "records")
     dist = ingest.hamming_matrix(records)
+    votes = len(records[0].votes)
     if t_max is None:
         t_max = max(max(row) for row in dist.d) + 1 if dist.n > 1 else 1
+    elif t_max > votes + 1:
+        _fail(1, f"t-max {t_max} above {votes + 1}: no distance exceeds the {votes} votes "
+                 "per record")
     groups = {token: None if token == "G" else ingest.party_indices(records, token)
               for token in subgroups}
     for token, idx in groups.items():
@@ -419,7 +425,7 @@ def cmd_trade(input_path, k, orders, density_vertex, clique_budget, fmt, out_dir
             "chi2": stat,
             "p_value": stats.p_value(stat, 1),
         })
-    bar = sum(row["chi2"] for row in census_rows) / len(census_rows)
+    bar = stats.bar_chi2([row["chi2"] for row in census_rows])
 
     bias = None
     if tri is None:
@@ -519,15 +525,25 @@ def cmd_simulate(n, t_min, t_max, t_step, samples, seed, exhaustive, fmt, out_di
     doc = {"command": "simulate", "n": n, "goodman_floor": floor}
     stem = "simulate_exhaustive" if exhaustive else "simulate"
     if exhaustive:
+        # a coloring is a mask with pair b (i < j, in order) blue on bit b;
+        # incident[v] holds v's pairs, so v's blue degree is one popcount
+        pairs = comb(n, 2)
+        if pairs > 21:
+            _fail(1, f"refusing to enumerate 2^{pairs} colorings (n={n} too large)")
+        incident = [0] * n
+        for bit, (i, j) in enumerate(combinations(range(n), 2)):
+            incident[i] |= 1 << bit
+            incident[j] |= 1 << bit
         distribution = Counter(
-            census_lib.triangle_census(c).mono for c in enumerate_colorings(n)
+            census_lib.mono_triangles(n, [(mask & pairs_v).bit_count() for pairs_v in incident])
+            for mask in range(1 << pairs)
         )
         rows = [{"mono": m, "colorings": c} for m, c in sorted(distribution.items())]
         lo, hi = rows[0]["mono"], rows[-1]["mono"]
-        doc.update(mode="exhaustive", colorings=2 ** comb(n, 2), min_mono=lo, max_mono=hi,
+        doc.update(mode="exhaustive", colorings=2 ** pairs, min_mono=lo, max_mono=hi,
                    distribution=rows)
         click.echo(
-            f"exhaustive n={n}: {2 ** comb(n, 2)} colorings, "
+            f"exhaustive n={n}: {2 ** pairs} colorings, "
             f"mono range [{lo}, {hi}], goodman floor {floor}"
         )
     else:
@@ -546,12 +562,10 @@ def cmd_simulate(n, t_min, t_max, t_step, samples, seed, exhaustive, fmt, out_di
         master = random.Random(seed)
         rows, tau = [], lo
         while tau <= hi:
-            counts = [
-                census_lib.triangle_census(
-                    ingest.random_coloring(n, float(tau), master.getrandbits(63))
-                ).mono
-                for _ in range(samples)
-            ]
+            colorings = (ingest.random_coloring(n, float(tau), master.getrandbits(63))
+                         for _ in range(samples))
+            counts = [census_lib.mono_triangles(n, map(int.bit_count, c.blue_rows))
+                      for c in colorings]
             rows.append({
                 "t": float(tau),
                 "analytic": float(bounds_lib.expected_mono(n, 3, tau).expected_mono),

@@ -154,26 +154,3 @@ def path_count(
     for _ in range(k):
         vec = [sum(vec[s] for s in iter_bits(rows[r])) for r in range(coloring.n)]
     return vec[j]
-
-
-def enumerate_colorings(n: int) -> Iterator[TwoColoring]:
-    """Yield every two-coloring of K_n, all 2^C(n,2) of them.
-
-    Pairs (i, j), i < j, map to mask bits in lexicographic order, so
-    the sequence is fixed. Guarded to C(n,2) <= 21 (n <= 7); beyond
-    that the space is too large to walk.
-    """
-    if n < 1:
-        raise InputError(f"vertex count must be >= 1, got {n}")
-    pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
-    if len(pairs) > 21:
-        raise InputError(
-            f"refusing to enumerate 2^{len(pairs)} colorings (n={n} too large)"
-        )
-    for mask in range(1 << len(pairs)):
-        rows = [0] * n
-        for bit, (i, j) in enumerate(pairs):
-            if mask >> bit & 1:
-                rows[i] |= 1 << j
-                rows[j] |= 1 << i
-        yield TwoColoring(n, tuple(rows))

@@ -25,7 +25,7 @@ from fractions import Fraction
 from typing import Iterable, Sequence
 
 from .bounds import GoodmanBound, goodman_fraction
-from .census import CliqueCensus, TransitivityReport, transitivity_from_census
+from .census import CliqueCensus, TransitivityReport, mono_triangles, transitivity_from_census
 from .coloring import TwoColoring, from_blue_edges
 from .errors import InputError, ParseError
 
@@ -261,9 +261,9 @@ def sweep(
     The threshold graphs are nested, so the sweep is one pass over the
     pairs in distance order: a pair turning red closes one red triangle
     per common red neighbour, one popcount of the two red rows. The
-    blue count then follows from the red degrees by Goodman's identity,
-    mono = C(n,3) - 1/2 * sum_v r_v (n-1-r_v). A threshold that turns
-    no pair red reuses the previous row's census.
+    blue count then follows from the red degrees by Goodman's identity
+    (census.mono_triangles). A threshold that turns no pair red reuses
+    the previous row's census.
     """
     t_min, t_max = t_range
     if t_min > t_max:
@@ -311,9 +311,9 @@ def sweep(
                     red_a |= low
                     red[b] |= bit_a
                 red[a] = red_a
-            mixed = sum(r * (n - 1 - r) for r in map(int.bit_count, red)) // 2
+            mono = mono_triangles(n, map(int.bit_count, red))
             census = CliqueCensus(n=n, m=3, total=total, red_count=red_count,
-                                  blue_count=total - mixed - red_count)
+                                  blue_count=mono - red_count)
             transitivity = transitivity_from_census(census)
         rows.append(SweepRow(t=t, census=census, transitivity=transitivity))
     return SweepTable(n=n, rows=tuple(rows), goodman=goodman_fraction(n))

@@ -204,15 +204,15 @@ def chi2_deviation(a: Chi2Report, b: Chi2Report) -> Chi2Report:
     )
 
 
-def bar_chi2(reports: Sequence[Chi2Report]) -> float:
+def bar_chi2(values: Sequence[float]) -> float:
     """Arithmetic mean of statistics across consecutive clique orders.
 
     The divisor is the true number of terms supplied (orders 3..M give
     M-2 terms), not M-3.
     """
-    if not reports:
-        raise InputError("need at least one report to average")
-    return sum(r.statistic for r in reports) / len(reports)
+    if not values:
+        raise InputError("need at least one statistic to average")
+    return sum(values) / len(values)
 
 
 def sample_stdev(values: Sequence[int]) -> float:

@@ -2,12 +2,13 @@
 
 Everything here favors obviousness over speed: explicit subset
 enumeration, literal dense matrix products, full power-set clique
-search. Only usable for small n.
+search, every coloring of K_n built and validated. Only usable for
+small n.
 """
 
 from itertools import combinations
 
-from ramseystats import Color
+from ramseystats import Color, InputError, TwoColoring
 
 
 def adjacency(coloring, color):
@@ -84,6 +85,39 @@ def transitivity(coloring):
                         if coloring.has_edge(i, k, color):
                             completed += 1
     return paths, completed
+
+
+def enumerate_colorings(n):
+    """Every two-coloring of K_n, all 2^C(n,2) of them, as TwoColorings.
+
+    Pairs (i, j), i < j, map to mask bits in lexicographic order.
+    Guarded to C(n,2) <= 21 (n <= 7).
+    """
+    if n < 1:
+        raise InputError(f"vertex count must be >= 1, got {n}")
+    pairs = list(combinations(range(n), 2))
+    if len(pairs) > 21:
+        raise InputError(f"refusing to enumerate 2^{len(pairs)} colorings")
+    for mask in range(1 << len(pairs)):
+        rows = [0] * n
+        for bit, (i, j) in enumerate(pairs):
+            if mask >> bit & 1:
+                rows[i] |= 1 << j
+                rows[j] |= 1 << i
+        yield TwoColoring(n, tuple(rows))
+
+
+def goodman_min(n):
+    """Goodman's three-case floor: m(m-1)(m-2)/3 for n = 2m,
+    2m(m-1)(4m+1)/3 for n = 4m+1, 2m(m+1)(4m-1)/3 for n = 4m+3."""
+    if n % 2 == 0:
+        m = n // 2
+        return m * (m - 1) * (m - 2) // 3
+    if n % 4 == 1:
+        m = (n - 1) // 4
+        return 2 * m * (m - 1) * (4 * m + 1) // 3
+    m = (n - 3) // 4
+    return 2 * m * (m + 1) * (4 * m - 1) // 3
 
 
 def hamming(a, b):

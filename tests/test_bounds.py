@@ -3,6 +3,7 @@ from math import comb
 
 import pytest
 
+import oracles
 import ramseystats as rs
 
 
@@ -13,16 +14,14 @@ def test_goodman_min_known_values():
 
 
 def test_goodman_three_cases():
-    # n = 2m, 4m+1, 4m+3 all reduce to the same single-floor form
+    # the single floor form agrees with n = 2m, 4m+1, 4m+3 case by case
     for n in (6, 8, 9, 11, 100, 101, 103, 999):
-        assert rs.goodman_min(n) == rs.schwenk_forced(n)
+        assert rs.goodman_min(n) == oracles.goodman_min(n)
 
 
 def test_goodman_validation():
     with pytest.raises(rs.InputError):
         rs.goodman_min(0)
-    with pytest.raises(rs.InputError):
-        rs.schwenk_forced(2)
     with pytest.raises(rs.InputError):
         rs.goodman_fraction(2)
 

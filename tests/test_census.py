@@ -96,6 +96,30 @@ def test_census_kernel_matches_oracles(n, p, rnd):
                 assert density == Fraction(through[v], comb(deg, 2))
 
 
+@settings(deadline=None)
+@given(
+    n=st.integers(1, 12),
+    p=st.sampled_from(BLUE_DENSITIES),
+    rnd=st.randoms(use_true_random=False),
+)
+def test_mono_triangles_matches_census(n, p, rnd):
+    c = rs.from_blue_edges(
+        n, [(i, j) for i, j in combinations(range(n), 2) if rnd.random() < p]
+    )
+    blue = [c.degree(v, Color.BLUE) for v in range(n)]
+    red = [c.degree(v, Color.RED) for v in range(n)]
+    mono = rs.triangle_census(c).mono
+    assert rs.mono_triangles(n, blue) == rs.mono_triangles(n, red) == mono
+
+
+def test_mono_triangles_extremes():
+    for n in range(1, 13):
+        # all blue and all red: every triangle is monochromatic
+        assert rs.mono_triangles(n, [n - 1] * n) == rs.mono_triangles(n, [0] * n) == comb(n, 3)
+    with pytest.raises(rs.InputError):
+        rs.mono_triangles(0, [])
+
+
 def test_per_vertex_triangles():
     all_blue = rs.TwoColoring(4, tuple(0b1111 & ~(1 << i) for i in range(4)))
     assert rs.per_vertex_triangles(all_blue, Color.BLUE) == [3, 3, 3, 3]
@@ -176,5 +200,5 @@ def test_neighborhood_density():
 
 def test_goodman_floor_is_respected_exhaustively():
     # every coloring of K6 carries at least F(6)=2 monochromatic triangles
-    lowest = min(rs.triangle_census(c).mono for c in rs.enumerate_colorings(6))
+    lowest = min(rs.triangle_census(c).mono for c in oracles.enumerate_colorings(6))
     assert lowest == rs.goodman_min(6) == 2

@@ -1,10 +1,13 @@
 import csv
 import json
+from collections import Counter
+from math import comb
 from pathlib import Path
 
 import pytest
 from click.testing import CliRunner
 
+import oracles
 import ramseystats as rs
 from ramseystats import census, report
 from ramseystats.cli import OUT_DIR_ENV, main
@@ -127,7 +130,8 @@ def test_votes_format_option_is_gone(runner, sample_votes_path, tmp_path):
     ["--subgroup", "G", "--subgroup", "R"],  # R has 2 records
     ["--t-min", "5", "--t-max", "2"],
     ["--t-min", "-1"],
-], ids=["no-match", "two-records", "empty-range", "negative-t"])
+    ["--t-max", "18"],  # the sample has 16 votes per record
+], ids=["no-match", "two-records", "empty-range", "negative-t", "t-max-past-votes"])
 def test_bad_subgroup_or_range_writes_nothing(runner, sample_votes_path, tmp_path,
                                               command, extra):
     result = runner.invoke(main, [
@@ -136,6 +140,14 @@ def test_bad_subgroup_or_range_writes_nothing(runner, sample_votes_path, tmp_pat
     assert result.exit_code == 1
     assert result.output.startswith("error: ")
     assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("command", ["sweep", "chi2"])
+def test_t_max_one_past_votes_runs(runner, sample_votes_path, tmp_path, command):
+    run_ok(runner, [command, "--input", str(sample_votes_path), "--t-max", "17",
+                    "--out-dir", str(tmp_path)])
+    manifest = json.loads((tmp_path / "manifest.json").read_text())
+    assert manifest["config"]["t_max"] == 17
 
 
 def test_late_failures_write_nothing(runner, sample_votes_path, tmp_path):
@@ -383,6 +395,18 @@ def test_simulate_exhaustive(runner, tmp_path):
     assert doc["min_mono"] == 0
     assert doc["colorings"] == 2**10
     assert sum(d["colorings"] for d in doc["distribution"]) == 2**10
+
+
+@pytest.mark.parametrize("n", range(1, 7))
+def test_simulate_exhaustive_matches_oracle(runner, tmp_path, n):
+    run_ok(runner, [
+        "simulate", "--n", str(n), "--exhaustive", "--out-dir", str(tmp_path),
+        "--format", "json",
+    ])
+    doc = json.loads((tmp_path / "simulate_exhaustive.json").read_text())
+    want = Counter(rs.triangle_census(c).mono for c in oracles.enumerate_colorings(n))
+    assert doc["distribution"] == [{"mono": m, "colorings": k} for m, k in sorted(want.items())]
+    assert doc["colorings"] == 2 ** comb(n, 2)
 
 
 def test_simulate_validation(runner, tmp_path):

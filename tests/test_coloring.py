@@ -90,8 +90,8 @@ def test_path_count_validation():
 
 
 def test_enumerate_colorings_small():
-    seen = list(rs.enumerate_colorings(3))
+    seen = list(oracles.enumerate_colorings(3))
     assert len(seen) == 8
     assert len({c.blue_rows for c in seen}) == 8
     with pytest.raises(rs.InputError):
-        next(rs.enumerate_colorings(8))
+        next(oracles.enumerate_colorings(8))
