@@ -56,6 +56,7 @@ from .ingest import (
     parse_votes,
     party_indices,
     random_coloring,
+    random_pair_mask,
     sweep,
     threshold_coloring,
 )
@@ -121,6 +122,7 @@ __all__ = [
     "path_count",
     "per_vertex_triangles",
     "random_coloring",
+    "random_pair_mask",
     "sweep",
     "threshold_coloring",
     "thomason_bound",

@@ -25,7 +25,6 @@ import sys
 from collections import Counter
 from dataclasses import asdict
 from fractions import Fraction
-from itertools import combinations
 from math import comb, sqrt
 from pathlib import Path
 
@@ -525,17 +524,12 @@ def cmd_simulate(n, t_min, t_max, t_step, samples, seed, exhaustive, fmt, out_di
     doc = {"command": "simulate", "n": n, "goodman_floor": floor}
     stem = "simulate_exhaustive" if exhaustive else "simulate"
     if exhaustive:
-        # a coloring is a mask with pair b (i < j, in order) blue on bit b;
-        # incident[v] holds v's pairs, so v's blue degree is one popcount
         pairs = comb(n, 2)
         if pairs > 21:
             _fail(1, f"refusing to enumerate 2^{pairs} colorings (n={n} too large)")
-        incident = [0] * n
-        for bit, (i, j) in enumerate(combinations(range(n), 2)):
-            incident[i] |= 1 << bit
-            incident[j] |= 1 << bit
+        incident = ingest.pair_incidence(n)
         distribution = Counter(
-            census_lib.mono_triangles(n, [(mask & pairs_v).bit_count() for pairs_v in incident])
+            census_lib.mono_triangles(n, [(mask & inc).bit_count() for inc in incident])
             for mask in range(1 << pairs)
         )
         rows = [{"mono": m, "colorings": c} for m, c in sorted(distribution.items())]
@@ -559,13 +553,14 @@ def cmd_simulate(n, t_min, t_max, t_step, samples, seed, exhaustive, fmt, out_di
             _fail(1, f"t-step must be positive, got {t_step}")
         if not (0 <= lo <= hi <= 1):
             _fail(1, "need 0 <= t-min <= t-max <= 1")
+        incident = ingest.pair_incidence(n)
         master = random.Random(seed)
         rows, tau = [], lo
         while tau <= hi:
-            colorings = (ingest.random_coloring(n, float(tau), master.getrandbits(63))
-                         for _ in range(samples))
-            counts = [census_lib.mono_triangles(n, map(int.bit_count, c.blue_rows))
-                      for c in colorings]
+            masks = (ingest.random_pair_mask(n, float(tau), master.getrandbits(63))
+                     for _ in range(samples))
+            counts = [census_lib.mono_triangles(n, [(mask & inc).bit_count() for inc in incident])
+                      for mask in masks]
             rows.append({
                 "t": float(tau),
                 "analytic": float(bounds_lib.expected_mono(n, 3, tau).expected_mono),

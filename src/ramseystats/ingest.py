@@ -9,7 +9,8 @@ Three routes in:
     builds no coloring per threshold;
   * directed weighted trade flows -> blue edges to each country's top-k
     import and export partners, red elsewhere;
-  * a seeded random coloring for simulation baselines.
+  * a seeded random pair mask, one bit per pair, for simulation
+    baselines, and the coloring it stands for.
 
 Parsing is strict: wrong field counts and unknown tokens fail with the
 offending line number rather than being papered over.
@@ -22,6 +23,7 @@ import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import combinations
 from typing import Iterable, Sequence
 
 from .bounds import GoodmanBound, goodman_fraction
@@ -378,22 +380,43 @@ def build_trade_graph(flows: Sequence[TradeFlow], k: int) -> TwoColoring:
     return from_blue_edges(len(countries), sorted(edges), labels=countries)
 
 
-def random_coloring(n: int, t: float, seed: int) -> TwoColoring:
-    """Each unordered pair independently blue with probability t.
+def random_pair_mask(n: int, t: float, seed: int) -> int:
+    """A random coloring as one integer: each pair blue with probability t.
 
+    Pair b, the b-th pair of combinations(range(n), 2), i.e. the pairs
+    in ascending (i, j) order, sits on bit b and is blue when set.
     Randomness comes from CPython's Mersenne Twister (random.Random)
-    seeded as given, drawing once per pair in ascending (i, j) order,
-    so a seed pins the exact coloring on every platform.
+    seeded as given, drawing once per pair in that order, so a seed
+    pins the exact coloring on every platform.
     """
     if n < 1:
         raise InputError(f"vertex count must be >= 1, got {n}")
     if not 0 <= t <= 1:
         raise InputError(f"blue probability must be in [0, 1], got {t}")
-    rng = random.Random(seed)
-    rows = [0] * n
-    for i in range(n):
-        for j in range(i + 1, n):
-            if rng.random() < t:
-                rows[i] |= 1 << j
-                rows[j] |= 1 << i
-    return TwoColoring(n=n, blue_rows=tuple(rows))
+    r = random.Random(seed).random
+    mask = 0
+    for b in range(math.comb(n, 2)):
+        if r() < t:
+            mask |= 1 << b
+    return mask
+
+
+def pair_incidence(n: int) -> list[int]:
+    """Per vertex, the bits of a pair mask (see random_pair_mask) it is in.
+
+    Entry v has bit b set when v is in pair b, so v's blue degree in
+    the coloring of a mask is (mask & pair_incidence(n)[v]).bit_count().
+    """
+    incident = [0] * n
+    for b, (i, j) in enumerate(combinations(range(n), 2)):
+        incident[i] |= 1 << b
+        incident[j] |= 1 << b
+    return incident
+
+
+def random_coloring(n: int, t: float, seed: int) -> TwoColoring:
+    """The coloring of random_pair_mask(n, t, seed): same seed, same pairs."""
+    mask = random_pair_mask(n, t, seed)
+    return from_blue_edges(
+        n, (p for b, p in enumerate(combinations(range(n), 2)) if mask >> b & 1)
+    )

@@ -1,15 +1,21 @@
 import csv
 import json
+import random
+import tempfile
 from collections import Counter
-from math import comb
+from fractions import Fraction
+from math import comb, sqrt
 from pathlib import Path
+from statistics import fmean
 
 import pytest
 from click.testing import CliRunner
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import oracles
 import ramseystats as rs
-from ramseystats import census, report
+from ramseystats import census, report, stats
 from ramseystats.cli import OUT_DIR_ENV, main
 
 
@@ -384,6 +390,32 @@ def test_simulate_grid(runner, tmp_path):
         assert row["stderr"] == 0.0
         assert row["empirical"] == row["analytic"] == 56.0
     assert doc["goodman_floor"] == rs.goodman_min(8)
+
+
+@settings(deadline=None)
+@given(
+    n=st.integers(3, 9),
+    seed=st.integers(0, 2**32),
+    samples=st.integers(1, 25),
+    step=st.sampled_from(["0.2", "0.25", "0.5", "1"]),
+)
+def test_simulate_monte_carlo_matches_census_oracle(n, seed, samples, step):
+    with tempfile.TemporaryDirectory() as tmp:
+        run_ok(CliRunner(), [
+            "simulate", "--n", str(n), "--seed", str(seed), "--samples", str(samples),
+            "--t-min", "0", "--t-max", "1", "--t-step", step,
+            "--out-dir", tmp, "--format", "json",
+        ])
+        rows = json.loads((Path(tmp) / "simulate.json").read_text())["rows"]
+    master = random.Random(seed)
+    grid = [k * Fraction(step) for k in range(int(1 / Fraction(step)) + 1)]
+    assert [row["t"] for row in rows] == [float(t) for t in grid]
+    for row, t in zip(rows, grid):
+        counts = [rs.triangle_census(rs.random_coloring(n, float(t), master.getrandbits(63))).mono
+                  for _ in range(samples)]
+        assert row["empirical"] == fmean(counts)
+        want = stats.sample_stdev(counts) / sqrt(samples) if samples > 1 else 0.0
+        assert row["stderr"] == want
 
 
 def test_simulate_exhaustive(runner, tmp_path):

@@ -1,5 +1,6 @@
 import time
 from fractions import Fraction
+from itertools import combinations
 
 import pytest
 from hypothesis import example, given, settings
@@ -449,3 +450,33 @@ def test_random_coloring_extremes():
         rs.random_coloring(0, 0.5, seed=1)
     with pytest.raises(rs.InputError):
         rs.random_coloring(5, 1.5, seed=1)
+
+
+def test_random_stream_regression():
+    # recorded before random_coloring was built on random_pair_mask
+    want = ((1, 2), (1, 6), (2, 3), (2, 4), (3, 4), (5, 6))
+    assert rs.random_coloring(7, 0.4, seed=11).blue_edges() == want
+    assert rs.random_pair_mask(7, 0.4, seed=11) == 0b100001001110001000000
+
+
+@settings(deadline=None)
+@given(
+    n=st.integers(1, 12),
+    t=st.one_of(st.sampled_from([0.0, 1.0, 0.5]), st.floats(0, 1)),
+    seed=st.integers(0, 2**63 - 1),
+)
+def test_random_pair_mask_is_random_coloring(n, t, seed):
+    mask = rs.random_pair_mask(n, t, seed)
+    pairs = list(combinations(range(n), 2))
+    assert mask >> len(pairs) == 0
+    blue = tuple(p for b, p in enumerate(pairs) if mask >> b & 1)
+    assert blue == rs.random_coloring(n, t, seed).blue_edges()
+
+
+def test_random_pair_mask_validation():
+    assert rs.random_pair_mask(1, 0.5, seed=1) == 0
+    assert rs.random_pair_mask(6, 1.0, seed=1) == 2**15 - 1
+    with pytest.raises(rs.InputError):
+        rs.random_pair_mask(0, 0.5, seed=1)
+    with pytest.raises(rs.InputError):
+        rs.random_pair_mask(5, -0.1, seed=1)
