@@ -13,6 +13,8 @@ exact integers and fractions are exact rationals.
 
 from __future__ import annotations
 
+import sys
+from contextlib import suppress
 from dataclasses import dataclass
 from fractions import Fraction
 from math import comb
@@ -71,10 +73,13 @@ class TransitivityReport:
 class MaxCliqueResult:
     """Largest single-color clique found by branch and bound.
 
-    When the node budget runs out before the search closes, size is
-    only a lower bound and is_lower_bound is set. witness is the
-    lexicographically smallest maximum clique (by sorted vertex tuple)
-    whenever the search completed.
+    The search has two phases, each with its own node budget: the
+    first finds the size, the second the lexicographically smallest
+    maximum clique (by sorted vertex tuple) as witness. nodes_explored
+    sums both, so it can reach twice the budget. If the first phase
+    runs out, size is only a lower bound and is_lower_bound is set; if
+    only the second does, size is exact but witness may not be the
+    smallest.
     """
 
     size: int
@@ -213,24 +218,25 @@ class _CliqueSearch:
 
         slot + 1 bounds the largest clique a vertex can start inside
         cand, so processing high slots first gives the usual prune.
+        Each slot is peeled off with mask operations: take the lowest
+        vertex still free, then strike it and its neighbors from free.
+        This is exactly first-fit coloring in ascending vertex order:
+        first fit puts v in class 0 iff no earlier class-0 vertex is
+        adjacent to it, which is what the first peel takes, and by
+        induction every later class matches too. So the list, and with
+        it every prune and node count of the search, is first fit's.
         """
-        classes: list[int] = []
         order: list[tuple[int, int]] = []
-        c = cand
-        while c:
-            b = c & -c
-            c ^= b
-            v = b.bit_length() - 1
-            nv = self.rows[v]
-            for i, mask in enumerate(classes):
-                if not mask & nv:
-                    classes[i] |= b
-                    order.append((i, v))
-                    break
-            else:
-                classes.append(b)
-                order.append((len(classes) - 1, v))
-        order.sort()
+        slot = 0
+        while cand:
+            free = cand
+            while free:
+                b = free & -free
+                v = b.bit_length() - 1
+                cand ^= b
+                free &= ~(self.rows[v] | b)
+                order.append((slot, v))
+            slot += 1
         return order
 
     def _tick(self) -> None:
@@ -265,8 +271,6 @@ class _CliqueSearch:
         if need == 1:
             return True
         order = self._color_order(cand)
-        if order[-1][0] + 1 < need:
-            return False
         rem = cand
         for slot, v in reversed(order):
             if slot + 1 < need:
@@ -285,16 +289,34 @@ def max_clique(
     The red maximum clique doubles as the maximum independent set of
     the blue graph. Among equal-size maxima the lexicographically
     smallest witness is returned, found by re-querying the search with
-    each candidate vertex pinned in turn; if the initial search blows
-    the node budget the best clique found so far is returned with
-    is_lower_bound set (and if only the tie-break phase runs out, the
-    size is still exact but the witness may not be the smallest).
+    each candidate vertex pinned in turn. node_budget bounds each of the
+    two phases (see MaxCliqueResult).
+
+    The search recurses once per clique vertex, so the clique must be
+    smaller than Python's recursion limit (sys.getrecursionlimit(),
+    1000 by default) less the caller's frames; a search that reaches
+    the limit raises InputError.
     """
     rows = coloring.rows(color)
     full = (1 << coloring.n) - 1
     search = _CliqueSearch(rows, node_budget)
+    refine = _CliqueSearch(rows, node_budget)
     try:
         search.expand(full)
+        witness = search.best
+        with suppress(_BudgetExceeded):
+            chosen: list[int] = []
+            cand = full
+            need = search.best_size
+            while need:
+                for v in iter_bits(cand):
+                    rest = cand & rows[v] & (-1 << (v + 1))
+                    if need == 1 or refine.has_clique(rest, need - 1):
+                        chosen.append(v)
+                        cand = rest
+                        need -= 1
+                        break
+            witness = tuple(chosen)
     except _BudgetExceeded:
         return MaxCliqueResult(
             size=search.best_size,
@@ -302,27 +324,13 @@ def max_clique(
             is_lower_bound=True,
             nodes_explored=search.nodes,
         )
-
-    size = search.best_size
-    witness = search.best
-    refine = _CliqueSearch(rows, node_budget)
-    try:
-        chosen: list[int] = []
-        cand = full
-        need = size
-        while need:
-            for v in iter_bits(cand):
-                rest = cand & rows[v] & (-1 << (v + 1))
-                if need == 1 or refine.has_clique(rest, need - 1):
-                    chosen.append(v)
-                    cand = rest
-                    need -= 1
-                    break
-        witness = tuple(chosen)
-    except _BudgetExceeded:
-        pass
+    except RecursionError:
+        raise InputError(
+            f"clique search reached Python's recursion limit of {sys.getrecursionlimit()}"
+            " frames; the largest clique must be smaller"
+        ) from None
     return MaxCliqueResult(
-        size=size,
+        size=search.best_size,
         witness=witness,
         is_lower_bound=False,
         nodes_explored=search.nodes + refine.nodes,

@@ -142,3 +142,30 @@ def top_k_blue_pairs(flows, k):
             for _, other in partner_list[:k]:
                 pairs.add(tuple(sorted((c, other))))
     return countries, pairs
+
+
+def first_fit_order(rows, cand):
+    """(slot, vertex) pairs of first-fit coloring of the vertex mask cand.
+
+    Vertices are taken in ascending order, each into the first class
+    holding none of its neighbors; the pairs are sorted by slot. This is
+    the per-vertex class scan the clique search's peel must reproduce.
+    """
+    classes = []
+    order = []
+    c = cand
+    while c:
+        b = c & -c
+        c ^= b
+        v = b.bit_length() - 1
+        nv = rows[v]
+        for i, mask in enumerate(classes):
+            if not mask & nv:
+                classes[i] |= b
+                order.append((i, v))
+                break
+        else:
+            classes.append(b)
+            order.append((len(classes) - 1, v))
+    order.sort()
+    return order

@@ -1,3 +1,5 @@
+import random
+import sys
 from fractions import Fraction
 from itertools import combinations
 from math import comb
@@ -8,7 +10,7 @@ from hypothesis import strategies as st
 
 import oracles
 import ramseystats as rs
-from ramseystats import Color
+from ramseystats import Color, census
 
 
 def test_triangle_census_star(star_coloring):
@@ -185,6 +187,43 @@ def test_max_clique_budget_abort():
     exact = rs.max_clique(c, Color.BLUE)
     assert not exact.is_lower_bound
     assert exact.size >= out.size
+
+
+@settings(deadline=None)
+@given(
+    n=st.integers(0, 40),
+    p=st.sampled_from(BLUE_DENSITIES),
+    seed=st.integers(0, 2**32),
+)
+def test_color_order_is_first_fit(n, p, seed):
+    rnd = random.Random(seed)
+    rows = [0] * n
+    for i, j in combinations(range(n), 2):
+        if rnd.random() < p:
+            rows[i] |= 1 << j
+            rows[j] |= 1 << i
+    rows = tuple(rows)
+    cand = rnd.getrandbits(n) if n else 0
+    for mask in (cand, (1 << n) - 1):
+        got = census._CliqueSearch(rows, 1)._color_order(mask)
+        assert got == oracles.first_fit_order(rows, mask)
+
+
+def test_max_clique_search_tree_is_pinned():
+    # Values of the first-fit class scan (oracles.first_fit_order):
+    # the same order must give the same prunes, so the same node count.
+    c = rs.random_coloring(60, 0.25, seed=2)
+    r = rs.max_clique(c, Color.RED)
+    assert (r.size, r.witness, r.nodes_explored) == (
+        14, (6, 7, 11, 14, 18, 28, 29, 31, 32, 40, 42, 44, 49, 52), 1001
+    )
+    assert not r.is_lower_bound
+
+
+def test_max_clique_deeper_than_recursion_limit_is_input_error():
+    n = sys.getrecursionlimit() + 10
+    with pytest.raises(rs.InputError, match="recursion limit"):
+        rs.max_clique(rs.from_blue_edges(n, []), Color.RED)
 
 
 def test_neighborhood_density():

@@ -1,6 +1,7 @@
 import csv
 import json
 import random
+import sys
 import tempfile
 from collections import Counter
 from fractions import Fraction
@@ -309,6 +310,27 @@ def test_trade_budget_exhausted_exit_4(runner, trade_small_path, tmp_path):
         "--clique-budget", "1", "--out-dir", str(tmp_path),
     ])
     assert result.exit_code == 4
+
+
+def test_trade_clique_deeper_than_recursion_limit_exit_1(runner, tmp_path):
+    # 700 countries in trading pairs: the blue graph is a perfect
+    # matching, so the red maximum clique has 350 vertices
+    flows = tmp_path / "pairs.csv"
+    flows.write_text("exporter,importer,volume\n" + "".join(
+        f"C{v:03d},C{v ^ 1:03d},1.0\n" for v in range(700)
+    ))
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(300)
+    try:
+        result = runner.invoke(main, [
+            "trade", "--input", str(flows), "--k", "1", "--orders", "3",
+            "--out-dir", str(tmp_path / "out"),
+        ])
+    finally:
+        sys.setrecursionlimit(limit)
+    assert result.exit_code == 1, result.output
+    assert "error:" in result.output and "recursion limit of 300" in result.output
+    assert not (tmp_path / "out").exists()
 
 
 def test_trade_bad_budget_exit_1(runner, trade_small_path, tmp_path):
