@@ -62,13 +62,11 @@ from .ingest import (
 )
 from .stats import (
     BiasSummary,
-    Chi2Kind,
     Chi2Report,
-    Series,
     bar_chi2,
     bias_summary,
+    chi2,
     chi2_deviation,
-    chi2_vs_expectation,
     chi2_vs_goodman,
     normalized_threshold,
     p_value,
@@ -78,7 +76,6 @@ __version__ = "0.1.0"  # the one declaration; pyproject.toml reads it
 
 __all__ = [
     "BiasSummary",
-    "Chi2Kind",
     "Chi2Report",
     "CliqueCensus",
     "Color",
@@ -89,7 +86,6 @@ __all__ = [
     "InputError",
     "MaxCliqueResult",
     "ParseError",
-    "Series",
     "SweepRow",
     "SweepTable",
     "TradeFlow",
@@ -102,8 +98,8 @@ __all__ = [
     "bar_chi2",
     "bias_summary",
     "build_trade_graph",
+    "chi2",
     "chi2_deviation",
-    "chi2_vs_expectation",
     "chi2_vs_goodman",
     "clique_census",
     "expected_mono",

@@ -248,9 +248,10 @@ def cmd_sweep(input_path, subgroups, t_min, t_max, fmt, out_dir):
 
 
 def _chi2_series(n: int, points, grows: str):
-    """Observed and expected mono/red/blue series from (threshold, census,
-    tau) points: the expectation is that of a random coloring in which
-    the color named by grows has edge density tau."""
+    """The thresholds and the observed and expected mono/red/blue value
+    lists of (threshold, census, tau) points: the expectation is that of
+    a random coloring in which the color named by grows has edge density
+    tau."""
     thresholds, censuses, taus = zip(*points)
     curves = [bounds_lib.expected_mono(n, 3, tau) for tau in taus]  # rejects n < 3
     observed = {
@@ -265,10 +266,7 @@ def _chi2_series(n: int, points, grows: str):
             curve.expected_blue / comb(n, 3) for curve in curves
         ],
     }
-    return tuple(
-        {key: stats.Series(thresholds, values) for key, values in series.items()}
-        for series in (observed, expected)
-    )
+    return list(thresholds), observed, expected
 
 
 def _chi2_reports(observed, expected, n, df, significance) -> list[dict]:
@@ -282,7 +280,7 @@ def _chi2_reports(observed, expected, n, df, significance) -> list[dict]:
         for comparison, rep in (
             ("observed-vs-goodman", vs_goodman),
             ("expectation-vs-goodman", exp_vs_goodman),
-            ("observed-vs-expectation", stats.chi2_vs_expectation(obs, exp, df=df)),
+            ("observed-vs-expectation", stats.chi2(obs, exp, df=df)),
             ("deviation", stats.chi2_deviation(vs_goodman, exp_vs_goodman)),
         ):
             rows.append({
@@ -332,6 +330,8 @@ def cmd_chi2(input_path, kind, subgroups, t_min, t_max, df, k, significance, fmt
         ]
     else:
         graph = _trade_graph(input_path, k)
+        if k > graph.n:
+            _fail(1, f"--k {k} above the {graph.n} countries of the trade graph")
         t_norm = stats.normalized_threshold(k, graph.n)
         notes = [
             f"single-point series at normalized threshold k/n = {float(t_norm)!r}",
@@ -342,10 +342,10 @@ def cmd_chi2(input_path, kind, subgroups, t_min, t_max, df, k, significance, fmt
         cases = [("trade", graph.n, *_chi2_series(graph.n, [(float(t_norm), census, t_norm)],
                                                   "blue"))]
     reports = [_chi2_reports(observed, expected, n, df, significance)
-               for _, n, observed, expected in cases]  # fail before writing anything
+               for _, n, _, observed, expected in cases]  # fail before writing anything
     out = _resolve_out_dir(out_dir)
     written = []
-    for (token, n, observed, expected), rows in zip(cases, reports):
+    for (token, n, thresholds, observed, expected), rows in zip(cases, reports):
         click.echo(f"chi2 {token}:")
         body = [
             [r["comparison"], r["series"], f"{r['statistic']:.3f}", r["df"],
@@ -365,9 +365,9 @@ def cmd_chi2(input_path, kind, subgroups, t_min, t_max, df, k, significance, fmt
             "df": df,
             "significance": significance,
             "goodman_fraction": bounds_lib.goodman_fraction(n).forced_fraction,
-            "thresholds": list(observed["mono"].thresholds),
-            "observed": {key: list(s.values) for key, s in observed.items()},
-            "expected": {key: list(s.values) for key, s in expected.items()},
+            "thresholds": thresholds,
+            "observed": observed,
+            "expected": expected,
             "reports": rows,
             "notes": notes,
         }, {name: rows})
@@ -409,9 +409,10 @@ def cmd_trade(input_path, k, orders, density_vertex, clique_budget, fmt, out_dir
         c = census_lib.clique_census(graph, m)
         if m == 3:
             tri, ref_kind, ref = c, "goodman", float(goodman.forced_fraction)
+            fit = stats.chi2_vs_goodman([c.mono_fraction], n)
         else:
             ref_kind, ref = "thomason", bounds_lib.thomason_bound(m)
-        stat = (float(c.mono_fraction) - ref) ** 2 / ref
+            fit = stats.chi2([c.mono_fraction], [ref])
         census_rows.append({
             "m": c.m,
             "total": c.total,
@@ -421,8 +422,8 @@ def cmd_trade(input_path, k, orders, density_vertex, clique_budget, fmt, out_dir
             "mono_fraction": c.mono_fraction,
             "reference_kind": ref_kind,
             "reference": ref,
-            "chi2": stat,
-            "p_value": stats.p_value(stat, 1),
+            "chi2": fit.statistic,
+            "p_value": fit.p_value,
         })
     bar = stats.bar_chi2([row["chi2"] for row in census_rows])
 

@@ -26,6 +26,16 @@ def round3(x) -> float:
     return round(float(x), 3)
 
 
+def _scalar(x):
+    """A Fraction as a float and a non-finite float as its name ("inf",
+    "-inf" or "nan"), for JSON and CSV alike; any other value as is."""
+    if isinstance(x, Fraction):
+        x = float(x)
+    if isinstance(x, float) and not math.isfinite(x):
+        return repr(x)
+    return x
+
+
 def jsonable(obj):
     """Convert nested values into JSON-safe structures.
 
@@ -41,11 +51,7 @@ def jsonable(obj):
         return [jsonable(v) for v in obj]
     if isinstance(obj, Enum):
         return obj.value
-    if isinstance(obj, Fraction):
-        return float(obj)
-    if isinstance(obj, float) and not math.isfinite(obj):
-        return "inf" if obj > 0 else "-inf" if obj < 0 else "nan"
-    return obj
+    return _scalar(obj)
 
 
 def dumps_json(obj) -> str:
@@ -57,15 +63,8 @@ def write_json(path: Path, obj) -> None:
 
 
 def _cell(x) -> str:
-    if isinstance(x, Fraction):
-        x = float(x)
-    if isinstance(x, float):
-        if not math.isfinite(x):
-            return "inf" if x > 0 else "-inf" if x < 0 else "nan"
-        return repr(x)
-    if x is None:
-        return ""
-    return str(x)
+    # str of a float is its full-precision repr
+    return "" if x is None else str(_scalar(x))
 
 
 def csv_text(header, rows) -> str:

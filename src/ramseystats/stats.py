@@ -2,56 +2,26 @@
 
 An observed sweep (fraction of monochromatic triangles per threshold)
 is compared against two references: the expectation curve of a random
-coloring and the constant Ramsey-forced floor. Statistics are the plain
-goodness-of-fit sums; p-values come from a self-contained regularized
-incomplete gamma implementation so the package needs no scipy.
+coloring (`chi2`) and the constant Ramsey-forced floor
+(`chi2_vs_goodman`, which calls `chi2`). `chi2` is the one place the
+goodness-of-fit term (o - r)^2 / r is summed. p-values come from a
+self-contained regularized incomplete gamma implementation so the
+package needs no scipy.
 
-Series values are fractions of the triangle total, never raw counts;
-the statistic magnitudes only make sense on that scale.
+Sweeps are plain sequences of fractions of the triangle total, never
+raw counts; the statistic magnitudes only make sense on that scale.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from enum import Enum
 from fractions import Fraction
 from typing import NamedTuple, Sequence
 
 from .bounds import goodman_fraction
 from .census import CliqueCensus
 from .errors import DegenerateReferenceError, InputError, UndefinedBiasError
-
-
-@dataclass(frozen=True)
-class Series:
-    """Aligned (threshold, fraction) points, thresholds strictly increasing."""
-
-    thresholds: tuple
-    values: tuple
-
-    def __init__(self, thresholds: Sequence, values: Sequence):
-        object.__setattr__(self, "thresholds", tuple(thresholds))
-        object.__setattr__(self, "values", tuple(values))
-        if len(self.thresholds) != len(self.values):
-            raise InputError(
-                f"{len(self.thresholds)} thresholds vs {len(self.values)} values"
-            )
-        for a, b in zip(self.thresholds, self.thresholds[1:]):
-            if not a < b:
-                raise InputError("thresholds must be strictly increasing")
-        for v in self.values:
-            if not 0 <= v <= 1:
-                raise InputError(f"series values are fractions in [0, 1], got {v}")
-
-    def __len__(self) -> int:
-        return len(self.values)
-
-
-class Chi2Kind(Enum):
-    VS_EXPECTATION = "vs-expectation"
-    VS_GOODMAN = "vs-goodman"
-    DEVIATION_OF_DEVIATIONS = "deviation-of-deviations"
 
 
 @dataclass(frozen=True)
@@ -66,7 +36,6 @@ class Chi2Report:
     statistic: float
     df: int
     p_value: float
-    kind: Chi2Kind
     skipped_points: int = 0
 
 
@@ -129,41 +98,37 @@ def p_value(statistic: float, df: int = 1) -> float:
     return _gamma_q_contfrac(a, x)
 
 
-def chi2_vs_expectation(
-    observed: Series, expected: Series, df: int = 1
-) -> Chi2Report:
-    """Goodness of fit of an observed sweep against a reference curve.
+def chi2(observed: Sequence, reference: Sequence, df: int = 1) -> Chi2Report:
+    """Goodness of fit of an observed sweep against a reference sweep.
 
-    Points where the reference is exactly zero are skipped (and counted
-    in the report) rather than dividing by zero.
+    Both are equally long sequences of fractions in [0, 1], aligned
+    point by point. Points where the reference is exactly zero are
+    skipped (and counted in the report) rather than dividing by zero.
     """
-    if observed.thresholds != expected.thresholds:
-        raise InputError("observed and expected series have different thresholds")
+    if len(observed) != len(reference):
+        raise InputError(f"{len(observed)} observed vs {len(reference)} reference values")
+    for v in (*observed, *reference):
+        if not 0 <= v <= 1:
+            raise InputError(f"chi2 values are fractions in [0, 1], got {v}")
     stat = 0.0
     skipped = 0
-    for obs, ref in zip(observed.values, expected.values):
+    for obs, ref in zip(observed, reference):
         if ref == 0:
             skipped += 1
             continue
         diff = float(obs) - float(ref)
         stat += diff * diff / float(ref)
-    return Chi2Report(
-        statistic=stat,
-        df=df,
-        p_value=p_value(stat, df),
-        kind=Chi2Kind.VS_EXPECTATION,
-        skipped_points=skipped,
-    )
+    return Chi2Report(statistic=stat, df=df, p_value=p_value(stat, df), skipped_points=skipped)
 
 
 def chi2_vs_goodman(
-    observed: Series, n: int, per_color: bool = False, df: int = 1
+    observed: Sequence, n: int, per_color: bool = False, df: int = 1
 ) -> Chi2Report:
     """Deviation of a sweep from the constant forced-triangle floor.
 
-    The reference at every threshold is the forced monochromatic
-    fraction for n vertices, or half of it when comparing a single
-    color's series (a balanced floor splits evenly).
+    The reference at every point is the forced monochromatic fraction
+    for n vertices, or half of it when comparing a single color's sweep
+    (a balanced floor splits evenly).
     """
     ref = goodman_fraction(n).forced_fraction
     if ref == 0:
@@ -172,36 +137,19 @@ def chi2_vs_goodman(
         )
     if per_color:
         ref = ref / 2
-    ref_f = float(ref)
-    stat = 0.0
-    for obs in observed.values:
-        diff = float(obs) - ref_f
-        stat += diff * diff / ref_f
-    return Chi2Report(
-        statistic=stat,
-        df=df,
-        p_value=p_value(stat, df),
-        kind=Chi2Kind.VS_GOODMAN,
-    )
+    return chi2(observed, [ref] * len(observed), df)
 
 
 def chi2_deviation(a: Chi2Report, b: Chi2Report) -> Chi2Report:
     """Absolute difference of two like statistics, as its own report.
 
-    Both inputs must compare the same kind of reference with the same
-    degrees of freedom; the difference keeps that df for its p-value.
+    Both inputs must have the same degrees of freedom; the difference
+    keeps that df for its p-value.
     """
-    if a.kind is not b.kind:
-        raise InputError(f"kind mismatch: {a.kind.value} vs {b.kind.value}")
     if a.df != b.df:
         raise InputError(f"df mismatch: {a.df} vs {b.df}")
     diff = abs(a.statistic - b.statistic)
-    return Chi2Report(
-        statistic=diff,
-        df=a.df,
-        p_value=p_value(diff, a.df),
-        kind=Chi2Kind.DEVIATION_OF_DEVIATIONS,
-    )
+    return Chi2Report(statistic=diff, df=a.df, p_value=p_value(diff, a.df))
 
 
 def bar_chi2(values: Sequence[float]) -> float:

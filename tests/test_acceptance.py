@@ -21,9 +21,8 @@ import oracles
 from conftest import house_votes_file
 from ramseystats import (
     Color,
-    Series,
+    chi2,
     chi2_deviation,
-    chi2_vs_expectation,
     chi2_vs_goodman,
     clique_census,
     expected_mono,
@@ -254,16 +253,16 @@ def test_criterion_08_trade_pipeline(trade_small_path, trade_ring_path):
 
 def test_criterion_09_chi2_formula_fidelity():
     # hand-checked three-point series, reproduced exactly
-    observed = Series((1, 2, 3), (0.5, 0.25, 0.75))
-    expected = Series((1, 2, 3), (0.25, 0.5, 0.5))
-    vs_exp = chi2_vs_expectation(observed, expected)
+    observed = (0.5, 0.25, 0.75)
+    expected = (0.25, 0.5, 0.5)
+    vs_exp = chi2(observed, expected)
     assert vs_exp.statistic == 0.25 + 0.125 + 0.125
     assert vs_exp.p_value == p_value(vs_exp.statistic, 1)
 
-    floor_obs = Series((0, 1, 2), (0.5, 0.3, 0.1))
+    floor_obs = (0.5, 0.3, 0.1)
     vs_floor = chi2_vs_goodman(floor_obs, n=6)
     want = 0.0
-    for obs in floor_obs.values:
+    for obs in floor_obs:
         want += (obs - 0.1) ** 2 / 0.1
     assert vs_floor.statistic == want
 
@@ -284,13 +283,12 @@ def test_criterion_09_chi2_formula_fidelity():
                 f"{label}: grid ambiguity, computed {got:.3f} vs reported {want}"
             )
 
-    thresholds = tuple(range(18))
     exp_red = [Fraction(i, 17) ** 3 for i in range(18)]
     exp_blue = [Fraction(17 - i, 17) ** 3 for i in range(18)]
-    exp_mono = Series(thresholds, [r + b for r, b in zip(exp_red, exp_blue)])
+    exp_mono = [r + b for r, b in zip(exp_red, exp_blue)]
 
     for token, n in SUBGROUP_N.items():
-        obs = Series(thresholds, REPORTED_MONO[token])
+        obs = REPORTED_MONO[token]
         vs_floor = chi2_vs_goodman(obs, n)
         attempt(f"mono-vs-floor {token}", vs_floor.statistic,
                 REPORTED_CHI2_VS_FLOOR[token])
@@ -304,12 +302,10 @@ def test_criterion_09_chi2_formula_fidelity():
             chi2_vs_goodman(exp_mono, n_full).statistic,
             REPORTED_EXPECTATION_CHI2["mono"])
     attempt("expectation-vs-floor red",
-            chi2_vs_goodman(Series(thresholds, exp_red), n_full,
-                            per_color=True).statistic,
+            chi2_vs_goodman(exp_red, n_full, per_color=True).statistic,
             REPORTED_EXPECTATION_CHI2["red"])
     attempt("expectation-vs-floor blue",
-            chi2_vs_goodman(Series(thresholds, exp_blue), n_full,
-                            per_color=True).statistic,
+            chi2_vs_goodman(exp_blue, n_full, per_color=True).statistic,
             REPORTED_EXPECTATION_CHI2["blue"])
     notes.append(
         "per-color observed columns are not recoverable from the reported "

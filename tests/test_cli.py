@@ -158,17 +158,21 @@ def test_t_max_one_past_votes_runs(runner, sample_votes_path, tmp_path, command)
 
 
 def test_late_failures_write_nothing(runner, sample_votes_path, tmp_path):
-    votes, two = str(sample_votes_path), tmp_path / "two.csv"
+    votes, two, ring = str(sample_votes_path), tmp_path / "two.csv", tmp_path / "ring.csv"
     two.write_text("exporter,importer,volume\nA,B,3\n")
+    ring.write_text("exporter,importer,volume\nA,B,1\nB,C,1\nC,D,1\nD,A,1\n")
     for args in (
         ["chi2", "--input", votes, "--subgroup", "G", "--subgroup", "D"],  # n=4, floor 0
         ["chi2", "--input", votes, "--df", "0"],
         ["trade", "--input", str(two)],
+        ["trade", "--input", str(ring), "--k", "1"],  # n=4, floor 0
         ["simulate", "--n", "6", "--samples", "0"],
         ["simulate", "--n", "30", "--exhaustive"],
     ):
         result = runner.invoke(main, [*args, "--out-dir", str(tmp_path / "out")])
+        # an uncaught exception exits 1 too, so the message is checked
         assert result.exit_code == 1, args
+        assert result.output.startswith("error: "), (args, result.output)
         assert not (tmp_path / "out").exists(), args
 
 
@@ -219,8 +223,8 @@ def test_chi2_identical_series_statistic_zero(runner, tmp_path):
     # observed == expected when the coloring is exactly the expectation:
     # not constructible from votes, so check the trade branch's math via
     # the library instead and the CLI end to end for shape only.
-    obs = rs.Series([0, 1], [0.3, 0.4])
-    rep = rs.chi2_vs_expectation(obs, obs)
+    obs = [0.3, 0.4]
+    rep = rs.chi2(obs, obs)
     assert rep.statistic == 0.0 and rep.p_value == 1.0
 
 
@@ -236,7 +240,7 @@ def test_chi2_trade_kind(runner, trade_small_path, tmp_path):
     assert any("k/n" in note for note in doc["notes"])
 
 
-def test_chi2_missing_and_bad_inputs(runner, tmp_path):
+def test_chi2_missing_and_bad_inputs(runner, trade_small_path, tmp_path):
     assert runner.invoke(main, [
         "chi2", "--input", str(tmp_path / "x.csv"), "--out-dir", str(tmp_path),
     ]).exit_code == 2
@@ -252,6 +256,13 @@ def test_chi2_missing_and_bad_inputs(runner, tmp_path):
     ])
     assert result.exit_code == 1
     assert result.output.startswith("error: ")
+    # tau = k/n must stay a probability
+    result = runner.invoke(main, [
+        "chi2", "--input", str(trade_small_path), "--kind", "trade", "--k", "7",
+        "--out-dir", str(tmp_path / "unused"),
+    ])
+    assert result.exit_code == 1
+    assert result.output == "error: --k 7 above the 6 countries of the trade graph\n"
     # an option of the other --kind fails before the input is read, even
     # when its value equals the default
     for kind, extra in (

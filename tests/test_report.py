@@ -3,7 +3,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from ramseystats import Chi2Kind, __version__, report
+from ramseystats import Color, __version__, report
 
 
 def test_round3_half_to_even():
@@ -17,21 +17,23 @@ def test_jsonable_conversions():
     @dataclass(frozen=True)
     class Point:
         x: Fraction
-        kind: Chi2Kind
+        color: Color
 
     doc = report.jsonable(
         {
-            "p": Point(Fraction(1, 4), Chi2Kind.VS_GOODMAN),
+            "p": Point(Fraction(1, 4), Color.BLUE),
             "seq": (1, 2),
             "inf": math.inf,
             "neg": -math.inf,
+            "nan": math.nan,
         }
     )
     assert doc == {
-        "p": {"x": 0.25, "kind": "vs-goodman"},
+        "p": {"x": 0.25, "color": "blue"},
         "seq": [1, 2],
         "inf": "inf",
         "neg": "-inf",
+        "nan": "nan",
     }
 
 

@@ -9,20 +9,21 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 import ramseystats as rs
-from ramseystats import Chi2Kind, Series, stats
+from ramseystats import stats
 
 
-def test_series_validation():
-    s = Series([0, 1, 2], [0.1, 0.2, 0.3])
-    assert len(s) == 3
+def test_chi2_validation():
+    assert rs.chi2([0.1, 0.2, 0.3], [0.1, 0.2, 0.3]).statistic == 0.0
     with pytest.raises(rs.InputError):
-        Series([0, 1], [0.5])
+        rs.chi2([0.5, 0.5], [0.5])  # lengths differ
     with pytest.raises(rs.InputError):
-        Series([1, 0], [0.5, 0.5])
+        rs.chi2([1.5], [0.5])  # values are fractions in [0, 1]
     with pytest.raises(rs.InputError):
-        Series([0, 0], [0.5, 0.5])
+        rs.chi2([0.5], [-0.1])
     with pytest.raises(rs.InputError):
-        Series([0], [1.5])
+        rs.chi2([math.nan], [0.5])
+    with pytest.raises(rs.InputError):
+        rs.chi2_vs_goodman([1.5], 6)
 
 
 def test_p_value_against_erfc():
@@ -51,72 +52,60 @@ def test_p_value_validation():
 
 
 def test_chi2_vs_expectation_hand_value():
-    obs = Series([0, 1, 2], [0.5, 0.25, 0.75])
-    exp = Series([0, 1, 2], [0.25, 0.5, 0.5])
-    rep = rs.chi2_vs_expectation(obs, exp)
+    obs = [0.5, 0.25, 0.75]
+    exp = [0.25, 0.5, 0.5]
+    rep = rs.chi2(obs, exp)
     hand = (0.5 - 0.25) ** 2 / 0.25 + (0.25 - 0.5) ** 2 / 0.5 + (0.75 - 0.5) ** 2 / 0.5
     assert rep.statistic == hand == 0.5
-    assert rep.kind is Chi2Kind.VS_EXPECTATION
     assert rep.skipped_points == 0
     assert rep.p_value == rs.p_value(0.5, 1)
 
 
 def test_chi2_vs_expectation_skips_zero_reference():
-    obs = Series([0, 1], [0.2, 0.2])
-    exp = Series([0, 1], [0.0, 0.1])
-    rep = rs.chi2_vs_expectation(obs, exp)
+    rep = rs.chi2([0.2, 0.2], [0.0, 0.1])
     assert rep.skipped_points == 1
     assert rep.statistic == pytest.approx((0.2 - 0.1) ** 2 / 0.1)
 
 
 def test_chi2_vs_expectation_identical_is_zero():
-    s = Series([0, 1, 2], [0.3, 0.4, 0.5])
-    rep = rs.chi2_vs_expectation(s, s)
+    s = [0.3, 0.4, 0.5]
+    rep = rs.chi2(s, s)
     assert rep.statistic == 0.0
     assert rep.p_value == 1.0
 
 
-def test_chi2_vs_expectation_threshold_mismatch():
-    with pytest.raises(rs.InputError):
-        rs.chi2_vs_expectation(Series([0], [0.5]), Series([1], [0.5]))
-
-
 def test_chi2_vs_goodman_hand_value():
-    obs = Series([0, 1, 2], [0.5, 0.25, 0.75])
+    obs = [0.5, 0.25, 0.75]
     rep = rs.chi2_vs_goodman(obs, 6)  # floor 2/20 = 0.1
     hand = (0.5 - 0.1) ** 2 / 0.1 + (0.25 - 0.1) ** 2 / 0.1 + (0.75 - 0.1) ** 2 / 0.1
     assert rep.statistic == pytest.approx(hand, rel=1e-12)
-    assert rep.kind is Chi2Kind.VS_GOODMAN
+    assert rep == rs.chi2(obs, [Fraction(1, 10)] * 3)
 
     per_color = rs.chi2_vs_goodman(obs, 6, per_color=True)
-    hand_half = sum((v - 0.05) ** 2 / 0.05 for v in obs.values)
+    hand_half = sum((v - 0.05) ** 2 / 0.05 for v in obs)
     assert per_color.statistic == pytest.approx(hand_half, rel=1e-12)
 
 
 def test_chi2_vs_goodman_degenerate():
     with pytest.raises(rs.DegenerateReferenceError):
-        rs.chi2_vs_goodman(Series([0], [0.5]), 5)
+        rs.chi2_vs_goodman([0.5], 5)
 
 
 def test_chi2_deviation():
-    obs = Series([0, 1], [0.5, 0.25])
+    obs = [0.5, 0.25]
     a = rs.chi2_vs_goodman(obs, 6)
-    b = rs.chi2_vs_goodman(Series([0, 1], [0.3, 0.2]), 6)
+    b = rs.chi2_vs_goodman([0.3, 0.2], 6)
     d = rs.chi2_deviation(a, b)
     assert d.statistic == pytest.approx(abs(a.statistic - b.statistic))
-    assert d.kind is Chi2Kind.DEVIATION_OF_DEVIATIONS
     assert d.df == 1
 
-    e = rs.chi2_vs_expectation(obs, obs)
-    with pytest.raises(rs.InputError):
-        rs.chi2_deviation(a, e)  # kind mismatch
     c = rs.chi2_vs_goodman(obs, 6, df=2)
     with pytest.raises(rs.InputError):
         rs.chi2_deviation(a, c)  # df mismatch
 
 
 def test_bar_chi2():
-    obs = Series([0], [0.5])
+    obs = [0.5]
     reps = [rs.chi2_vs_goodman(obs, n) for n in (6, 7, 8)]
     values = [r.statistic for r in reps]
     assert rs.bar_chi2(values) == pytest.approx(sum(values) / 3)
