@@ -20,14 +20,11 @@ from .bounds import (
 from .census import (
     CliqueCensus,
     MaxCliqueResult,
-    TransitivityReport,
     clique_census,
     max_clique,
     mono_triangles,
     neighborhood_density,
     per_vertex_triangles,
-    transitivity,
-    transitivity_from_census,
     triangle_census,
 )
 from .coloring import (
@@ -89,7 +86,6 @@ __all__ = [
     "SweepRow",
     "SweepTable",
     "TradeFlow",
-    "TransitivityReport",
     "TwoColoring",
     "UndefinedBiasError",
     "UndefinedDensityError",
@@ -122,7 +118,5 @@ __all__ = [
     "sweep",
     "threshold_coloring",
     "thomason_bound",
-    "transitivity",
-    "transitivity_from_census",
     "triangle_census",
 ]

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import comb
+from math import comb, ldexp
 
 from .errors import InputError, UnsupportedOrderError
 
@@ -62,10 +62,11 @@ def goodman_fraction(n: int) -> GoodmanBound:
 def thomason_bound(m: int) -> float:
     """Upper bound 0.936 * 2^(1 - C(m,2)) on the minimal monochromatic
     K_m fraction over all two-colorings. Defined for m >= 4 (order 3 has
-    the exact Goodman floor instead)."""
+    the exact Goodman floor instead). Underflows to 0.0 for large m
+    rather than overflowing the exponent."""
     if m < 4:
         raise UnsupportedOrderError(f"order must be >= 4, got {m}")
-    return 0.936 * 2.0 ** (1 - comb(m, 2))
+    return ldexp(0.936, 1 - comb(m, 2))
 
 
 @dataclass(frozen=True)

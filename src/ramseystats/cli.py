@@ -201,11 +201,11 @@ def _sweep_report(out: Path, token: str, table: ingest.SweepTable, fmt: str) -> 
             "red_triangles": r.census.red_count,
             "blue_triangles": r.census.blue_count,
             "mono": r.census.mono,
-            "mono_fraction": r.mono_fraction,
-            "red_fraction": r.red_fraction,
-            "blue_fraction": r.blue_fraction,
-            "mono_paths2": r.transitivity.mono_paths2,
-            "transitivity": r.completion_ratio,
+            "mono_fraction": r.census.mono_fraction,
+            "red_fraction": Fraction(r.census.red_count, r.census.total),
+            "blue_fraction": Fraction(r.census.blue_count, r.census.total),
+            "mono_paths2": r.census.mono_paths2,
+            "transitivity": r.census.completion_ratio,
         }
         for r in table.rows
     ]
@@ -313,6 +313,8 @@ def cmd_chi2(input_path, kind, subgroups, t_min, t_max, df, k, significance, fmt
     for opt in (param for param in ctx.command.params if param.name in other):
         if ctx.get_parameter_source(opt.name) is ParameterSource.COMMANDLINE:
             _fail(1, f"{opt.opts[0]} does not apply to --kind {kind}")
+    if not 0 < significance < 1:  # also rejects nan
+        _fail(1, f"--significance must lie in (0, 1), got {significance}")
     if kind == "votes":
         t_max, tables = _votes_sweeps(input_path, subgroups, t_min, t_max)
         if t_max <= 0:
@@ -433,7 +435,6 @@ def cmd_trade(input_path, k, orders, density_vertex, clique_budget, fmt, out_dir
     else:
         with contextlib.suppress(UndefinedBiasError):
             bias = stats.bias_summary(tri)
-    trans = census_lib.transitivity_from_census(tri)
     cliques = {
         "max_blue_clique": census_lib.max_clique(graph, Color.BLUE, clique_budget),
         "max_blue_independent_set": census_lib.max_clique(graph, Color.RED, clique_budget),
@@ -459,7 +460,8 @@ def cmd_trade(input_path, k, orders, density_vertex, clique_budget, fmt, out_dir
         "census": census_rows,
         "bar_chi2": bar,
         "bias": None if bias is None else bias._asdict(),
-        "transitivity": {key: value for key, value in asdict(trans).items() if key != "n"},
+        "transitivity": {"mono": tri.mono, "mono_paths2": tri.mono_paths2,
+                         "completion_ratio": tri.completion_ratio},
         "densities": densities,
         "goodman": goodman,
     }
@@ -497,7 +499,7 @@ def cmd_trade(input_path, k, orders, density_vertex, clique_budget, fmt, out_dir
         for r in census_rows
     ]
     click.echo(report.format_table(["m", "mono", "ref_kind", "ref", "chi2"], body))
-    click.echo(f"bar chi2 {bar:.3f}, completion ratio {_fmt3(trans.completion_ratio)}")
+    click.echo(f"bar chi2 {bar:.3f}, completion ratio {_fmt3(tri.completion_ratio)}")
     for label, value in densities.items():
         shown = "undefined" if value is None else f"{value:.4f}"
         click.echo(f"blue neighborhood density of {label}: {shown}")
@@ -598,9 +600,9 @@ def cmd_bounds(n_min, n_max, orders, fmt, out_dir):
         _fail(1, f"n-min must be >= 3, got {n_min}")
     if n_min > n_max:
         _fail(1, f"empty n range [{n_min}, {n_max}]")
-    out = _resolve_out_dir(out_dir)
     floors = [asdict(bounds_lib.goodman_fraction(n)) for n in range(n_min, n_max + 1)]
     uppers = [{"m": m, "upper_bound": bounds_lib.thomason_bound(m)} for m in orders]
+    out = _resolve_out_dir(out_dir)
     written = _report(
         out, fmt, "bounds", {"command": "bounds", "goodman": floors, "thomason": uppers},
         {"bounds_goodman": floors, "bounds_thomason": uppers},

@@ -39,7 +39,7 @@ class TwoColoring:
 
     `blue_rows[i]` has bit j set iff edge {i, j} is blue. Rows must be
     symmetric with an empty diagonal; this is checked on construction.
-    Instances are immutable and safe to share across threads.
+    Instances are immutable.
     """
 
     n: int

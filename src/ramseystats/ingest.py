@@ -22,12 +22,11 @@ import csv
 import math
 import random
 from dataclasses import dataclass
-from fractions import Fraction
 from itertools import combinations
 from typing import Iterable, Sequence
 
 from .bounds import GoodmanBound, goodman_fraction
-from .census import CliqueCensus, TransitivityReport, mono_triangles, transitivity_from_census
+from .census import CliqueCensus, mono_triangles
 from .coloring import TwoColoring, from_blue_edges
 from .errors import InputError, ParseError
 
@@ -221,23 +220,6 @@ class SweepRow:
 
     t: int
     census: CliqueCensus
-    transitivity: TransitivityReport
-
-    @property
-    def mono_fraction(self) -> Fraction:
-        return self.census.mono_fraction
-
-    @property
-    def red_fraction(self) -> Fraction:
-        return Fraction(self.census.red_count, self.census.total)
-
-    @property
-    def blue_fraction(self) -> Fraction:
-        return Fraction(self.census.blue_count, self.census.total)
-
-    @property
-    def completion_ratio(self) -> Fraction:
-        return self.transitivity.completion_ratio
 
 
 @dataclass(frozen=True)
@@ -316,8 +298,7 @@ def sweep(
             mono = mono_triangles(n, map(int.bit_count, red))
             census = CliqueCensus(n=n, m=3, total=total, red_count=red_count,
                                   blue_count=mono - red_count)
-            transitivity = transitivity_from_census(census)
-        rows.append(SweepRow(t=t, census=census, transitivity=transitivity))
+        rows.append(SweepRow(t=t, census=census))
     return SweepTable(n=n, rows=tuple(rows), goodman=goodman_fraction(n))
 
 

@@ -35,7 +35,6 @@ from ramseystats import (
     per_vertex_triangles,
     random_coloring,
     thomason_bound,
-    transitivity,
     triangle_census,
 )
 from ramseystats import report
@@ -117,15 +116,15 @@ def test_criterion_03_voting_reproduction():
         expected_floor = {"G": 0.248, "D": 0.247, "R": 0.246}[token]
         assert round(float(table.goodman.forced_fraction), 3) == expected_floor
         for row, want in zip(table.rows, REPORTED_MONO[token]):
-            assert abs(float(row.mono_fraction) - want) <= 0.002, (token, row.t)
+            assert abs(float(row.census.mono_fraction) - want) <= 0.002, (token, row.t)
         for row, want in zip(table.rows, REPORTED_TRANSITIVITY[token]):
-            assert abs(float(row.completion_ratio) - want) <= 0.002, (token, row.t)
+            assert abs(float(row.census.completion_ratio) - want) <= 0.002, (token, row.t)
         t_box, want_box = BOXED_MONO[token]
-        assert abs(float(table.rows[t_box].mono_fraction) - want_box) <= 0.002
-        assert min(float(r.mono_fraction) for r in table.rows) == pytest.approx(
-            float(table.rows[t_box].mono_fraction)
+        assert abs(float(table.rows[t_box].census.mono_fraction) - want_box) <= 0.002
+        assert min(float(r.census.mono_fraction) for r in table.rows) == pytest.approx(
+            float(table.rows[t_box].census.mono_fraction)
         )
-    assert abs(float(tables["G"].rows[9].completion_ratio) - 0.526) <= 0.002
+    assert abs(float(tables["G"].rows[9].census.completion_ratio) - 0.526) <= 0.002
 
 
 def test_criterion_04_p_value_spot_checks():
@@ -193,19 +192,17 @@ def test_criterion_07_census_oracle_equivalence():
             assert (got.size, got.witness) == (size, witness)
             assert not got.is_lower_bound
 
-        trans = transitivity(coloring)
         paths, completed = oracles.transitivity(coloring)
-        assert trans.mono_paths2 == paths
-        assert trans.completion_ratio == Fraction(completed, paths)
+        assert tri.mono_paths2 == paths
+        assert tri.completion_ratio == Fraction(completed, paths)
 
 
 def _floor_and_identity(coloring):
     census = triangle_census(coloring)
     n, f = census.n, census.mono
     assert census.mono_fraction >= goodman_fraction(n).forced_fraction
-    trans = transitivity(coloring)
-    assert trans.mono_paths2 == comb(n, 3) + 2 * f
-    assert trans.completion_ratio == Fraction(3 * f, comb(n, 3) + 2 * f)
+    assert census.mono_paths2 == comb(n, 3) + 2 * f
+    assert census.completion_ratio == Fraction(3 * f, comb(n, 3) + 2 * f)
 
 
 def test_criterion_08_trade_pipeline(trade_small_path, trade_ring_path):

@@ -48,6 +48,9 @@ def test_thomason_bound():
     assert rs.thomason_bound(4) == pytest.approx(0.936 / 32, rel=1e-12)
     assert rs.thomason_bound(5) == pytest.approx(0.936 * 2.0**-9, rel=1e-12)
     assert f"{rs.thomason_bound(5):.5f}" == "0.00183"
+    for m in range(4, 60):
+        assert rs.thomason_bound(m) == 0.936 * 2.0 ** (1 - comb(m, 2))
+    assert rs.thomason_bound(10**200) == 0.0  # underflows, no OverflowError
     for m in (3, 2, 1, 0):
         with pytest.raises(rs.UnsupportedOrderError):
             rs.thomason_bound(m)

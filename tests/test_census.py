@@ -133,7 +133,7 @@ def test_per_vertex_triangles():
 
 
 def test_transitivity_star(star_coloring):
-    r = rs.transitivity(star_coloring)
+    r = rs.triangle_census(star_coloring)
     assert r.mono == 10
     assert r.mono_paths2 == comb(6, 3) + 2 * 10
     assert r.completion_ratio == Fraction(30, 40)
@@ -144,17 +144,19 @@ def test_transitivity_star(star_coloring):
 def test_transitivity_no_mono():
     # blue 5-cycle: every triangle is mixed
     cycle = rs.from_blue_edges(5, [(i, (i + 1) % 5) for i in range(5)])
-    r = rs.transitivity(cycle)
+    r = rs.triangle_census(cycle)
     assert r.mono == 0
     assert r.mono_paths2 == comb(5, 3)
     assert r.completion_ratio == 0
 
 
 def test_transitivity_validation():
-    with pytest.raises(rs.InputError):
-        rs.transitivity(rs.from_blue_edges(2, [(0, 1)]))
-    with pytest.raises(rs.InputError):
-        rs.transitivity_from_census(rs.clique_census(rs.random_coloring(6, 0.5, seed=1), 4))
+    tiny = rs.triangle_census(rs.from_blue_edges(2, [(0, 1)]))
+    k4 = rs.clique_census(rs.random_coloring(6, 0.5, seed=1), 4)
+    for c, message in ((tiny, "n >= 3, got 2"), (k4, "triangle census, got m=4")):
+        for prop in ("mono_paths2", "completion_ratio"):
+            with pytest.raises(rs.InputError, match=message):
+                getattr(c, prop)
 
 
 def test_max_clique_small():

@@ -275,6 +275,15 @@ def test_chi2_missing_and_bad_inputs(runner, trade_small_path, tmp_path):
         ])
         assert result.exit_code == 1, (kind, extra)
         assert f"{extra[0]} does not apply to --kind {kind}" in result.output
+    # a significance level outside (0, 1) would mark every row, or none,
+    # and fails before the input is read
+    for level in ("7", "nan", "0", "1", "-0.5", "inf"):
+        result = runner.invoke(main, [
+            "chi2", "--input", str(tmp_path / "absent.csv"), "--significance", level,
+            "--out-dir", str(tmp_path / "unused"),
+        ])
+        assert result.exit_code == 1, level
+        assert result.output.startswith("error: --significance"), level
     assert not (tmp_path / "unused").exists()
 
 
@@ -503,3 +512,10 @@ def test_bounds_command(runner, tmp_path):
     assert runner.invoke(main, [
         "bounds", "--n-min", "2", "--out-dir", str(tmp_path),
     ]).exit_code == 1
+    # the bound underflows to 0.0 for a huge order instead of overflowing
+    huge = 10**200
+    result = run_ok(runner, [
+        "bounds", "--n-max", "8", "--orders", f"4,{huge}", "--out-dir", str(tmp_path / "huge"),
+    ])
+    assert read_csv(tmp_path / "huge" / "bounds_thomason.csv")[2] == [str(huge), "0.0"]
+    assert f"K{huge} upper bound 0.00000" in result.output

@@ -228,11 +228,11 @@ def test_threshold_monotone(sample_matrix):
 def test_sweep_six_voters(sample_matrix):
     table = rs.sweep(sample_matrix, (0, 8))
     assert [r.t for r in table.rows] == list(range(9))
-    monos = [float(r.mono_fraction) for r in table.rows]
+    monos = [float(r.census.mono_fraction) for r in table.rows]
     assert monos == [1.0, 1.0, 1.0, 0.6, 0.45, 0.2, 0.3, 1.0, 1.0]
     t5 = table.rows[5]
     assert t5.census.red_count == 4 and t5.census.blue_count == 0
-    assert t5.completion_ratio == Fraction(12, 28)
+    assert t5.census.completion_ratio == Fraction(12, 28)
     assert table.goodman.forced_fraction == Fraction(2, 20)
     assert table.n == 6
 
@@ -249,7 +249,7 @@ def test_sweep_subgroup(sample_matrix, sample_records):
     table = rs.sweep(sample_matrix, (0, 6), subgroup=idx)
     assert table.n == 4
     # Democrats' pairwise distances all <= 5, so t=5 is all red
-    assert table.rows[5].mono_fraction == 1
+    assert table.rows[5].census.mono_fraction == 1
     with pytest.raises(rs.InputError):
         rs.sweep(sample_matrix, (0, 2), subgroup=[])
     with pytest.raises(rs.InputError, match="at least 3 records, got 2"):
@@ -298,7 +298,6 @@ def test_sweep_matches_per_threshold_census(case):
     for row in table.rows:
         census = rs.triangle_census(rs.threshold_coloring(sub, row.t))
         assert row.census == census
-        assert row.transitivity == rs.transitivity_from_census(census)
 
 
 def test_sweep_error_messages(sample_matrix):
@@ -324,7 +323,6 @@ def test_sweep_far_past_the_largest_distance(sample_matrix):
     largest = max(map(max, sample_matrix.d))
     for row in table.rows[largest:]:
         assert row.census == all_red
-        assert row.transitivity == rs.transitivity_from_census(all_red)
     assert elapsed < 2.0
 
 
