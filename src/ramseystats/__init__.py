@@ -43,7 +43,6 @@ from .errors import (
 )
 from .ingest import (
     DistanceMatrix,
-    SweepRow,
     SweepTable,
     TradeFlow,
     VoterRecord,
@@ -65,7 +64,6 @@ from .stats import (
     chi2,
     chi2_deviation,
     chi2_vs_goodman,
-    normalized_threshold,
     p_value,
 )
 
@@ -83,7 +81,6 @@ __all__ = [
     "InputError",
     "MaxCliqueResult",
     "ParseError",
-    "SweepRow",
     "SweepTable",
     "TradeFlow",
     "TwoColoring",
@@ -106,7 +103,6 @@ __all__ = [
     "max_clique",
     "mono_triangles",
     "neighborhood_density",
-    "normalized_threshold",
     "p_value",
     "parse_trade_flows",
     "parse_votes",

@@ -86,10 +86,6 @@ def _parse_orders(text: str, minimum: int, maximum: int | None = None) -> tuple[
     return orders
 
 
-def _fmt3(x) -> str:
-    return f"{report.round3(x):.3f}"
-
-
 def _report(out: Path, fmt: str, stem: str, doc: dict, tables: dict[str, list[dict]]):
     """Write each table (a non-empty list of row dicts) to <name>.csv
     under a header of its row keys, or write doc, which embeds the same
@@ -165,7 +161,8 @@ def _votes_sweeps(path: Path, subgroups, t_min: int, t_max: int | None):
     for token, idx in groups.items():
         if token != "G" and not idx:
             _fail(1, f"subgroup {token!r} matches no records")
-    return t_max, [(token, ingest.sweep(dist, (t_min, t_max), subgroup=idx))
+    return t_max, [(token, ingest.sweep(dist if idx is None else dist.submatrix(idx),
+                                        (t_min, t_max)))
                    for token, idx in groups.items()]
 
 
@@ -193,24 +190,24 @@ _CURVES = {"mono": "mono_fraction", "red": "red_fraction", "blue": "blue_fractio
 
 def _sweep_report(out: Path, token: str, table: ingest.SweepTable, fmt: str) -> list[Path]:
     """Print one subgroup's sweep; write its table and plot series."""
-    name, goodman = _safe_name(token), table.goodman
+    name, goodman = _safe_name(token), bounds_lib.goodman_fraction(table.n)
     rows = [
         {
-            "t": r.t,
-            "total": r.census.total,
-            "red_triangles": r.census.red_count,
-            "blue_triangles": r.census.blue_count,
-            "mono": r.census.mono,
-            "mono_fraction": r.census.mono_fraction,
-            "red_fraction": Fraction(r.census.red_count, r.census.total),
-            "blue_fraction": Fraction(r.census.blue_count, r.census.total),
-            "mono_paths2": r.census.mono_paths2,
-            "transitivity": r.census.completion_ratio,
+            "t": t,
+            "total": census.total,
+            "red_triangles": census.red_count,
+            "blue_triangles": census.blue_count,
+            "mono": census.mono,
+            "mono_fraction": census.mono_fraction,
+            "red_fraction": Fraction(census.red_count, census.total),
+            "blue_fraction": Fraction(census.blue_count, census.total),
+            "mono_paths2": census.mono_paths2,
+            "transitivity": census.completion_ratio,
         }
-        for r in table.rows
+        for t, census in table.rows
     ]
     click.echo(f"sweep {token}: n={table.n}, goodman floor {float(goodman.forced_fraction):.4f}")
-    body = [[row["t"], *(_fmt3(row[column]) for column in _CURVES.values())] for row in rows]
+    body = [[row["t"], *(f"{float(row[col]):.3f}" for col in _CURVES.values())] for row in rows]
     lowest = min(row["mono_fraction"] for row in rows)
     for cells, row in zip(body, rows):
         if row["mono_fraction"] == lowest:
@@ -247,11 +244,10 @@ def cmd_sweep(input_path, subgroups, t_min, t_max, fmt, out_dir):
 # ----------------------------------------------------------------- chi2
 
 
-def _chi2_series(n: int, points, grows: str):
+def _chi2_series(n: int, points):
     """The thresholds and the observed and expected mono/red/blue value
     lists of (threshold, census, tau) points: the expectation is that of
-    a random coloring in which the color named by grows has edge density
-    tau."""
+    a random coloring with red edge density tau."""
     thresholds, censuses, taus = zip(*points)
     curves = [bounds_lib.expected_mono(n, 3, tau) for tau in taus]  # rejects n < 3
     observed = {
@@ -261,10 +257,8 @@ def _chi2_series(n: int, points, grows: str):
     }
     expected = {
         "mono": [curve.expected_mono_fraction for curve in curves],
-        grows: [curve.expected_red / comb(n, 3) for curve in curves],
-        ("blue" if grows == "red" else "red"): [
-            curve.expected_blue / comb(n, 3) for curve in curves
-        ],
+        "red": [curve.expected_red / comb(n, 3) for curve in curves],
+        "blue": [curve.expected_blue / comb(n, 3) for curve in curves],
     }
     return list(thresholds), observed, expected
 
@@ -326,7 +320,7 @@ def cmd_chi2(input_path, kind, subgroups, t_min, t_max, df, k, significance, fmt
         ]
         cases = [
             (token, table.n, *_chi2_series(
-                table.n, [(r.t, r.census, Fraction(r.t, t_max)) for r in table.rows], "red"
+                table.n, [(t, census, Fraction(t, t_max)) for t, census in table.rows]
             ))
             for token, table in tables
         ]
@@ -334,15 +328,15 @@ def cmd_chi2(input_path, kind, subgroups, t_min, t_max, df, k, significance, fmt
         graph = _trade_graph(input_path, k)
         if k > graph.n:
             _fail(1, f"--k {k} above the {graph.n} countries of the trade graph")
-        t_norm = stats.normalized_threshold(k, graph.n)
+        t_norm = Fraction(k, graph.n)
         notes = [
             f"single-point series at normalized threshold k/n = {float(t_norm)!r}",
             "blue is the threshold color (top-k partners), so its expected "
             "fraction is (k/n)^3",
         ]
         census = census_lib.triangle_census(graph)
-        cases = [("trade", graph.n, *_chi2_series(graph.n, [(float(t_norm), census, t_norm)],
-                                                  "blue"))]
+        cases = [("trade", graph.n,
+                  *_chi2_series(graph.n, [(float(t_norm), census, 1 - t_norm)]))]
     reports = [_chi2_reports(observed, expected, n, df, significance)
                for _, n, _, observed, expected in cases]  # fail before writing anything
     out = _resolve_out_dir(out_dir)
@@ -494,12 +488,12 @@ def cmd_trade(input_path, k, orders, density_vertex, clique_budget, fmt, out_dir
         witness = ": " + " ".join(witnesses[key]) if key == "max_blue_clique" else ""
         click.echo(f"{key.replace('_', ' ')} {result.size}{bound}{witness}")
     body = [
-        [r["m"], _fmt3(r["mono_fraction"]), r["reference_kind"], f"{r['reference']:.5f}",
-         f"{r['chi2']:.3f}"]
+        [r["m"], f"{float(r['mono_fraction']):.3f}", r["reference_kind"],
+         f"{r['reference']:.5f}", f"{r['chi2']:.3f}"]
         for r in census_rows
     ]
     click.echo(report.format_table(["m", "mono", "ref_kind", "ref", "chi2"], body))
-    click.echo(f"bar chi2 {bar:.3f}, completion ratio {_fmt3(tri.completion_ratio)}")
+    click.echo(f"bar chi2 {bar:.3f}, completion ratio {float(tri.completion_ratio):.3f}")
     for label, value in densities.items():
         shown = "undefined" if value is None else f"{value:.4f}"
         click.echo(f"blue neighborhood density of {label}: {shown}")

@@ -3,10 +3,10 @@
 Three routes in:
   * categorical vote records -> Hamming distance matrix -> threshold
     colorings (red at or below the threshold, blue above), swept over a
-    threshold range with optional party subgroups; the sweep is one
-    pass over the pairs in distance order, one popcount per pair turning
-    red, with the blue triangles from Goodman's degree identity, so it
-    builds no coloring per threshold;
+    threshold range; the sweep is one pass over the pairs in distance
+    order, one popcount per pair turning red, with the blue triangles
+    from Goodman's degree identity, so it builds no coloring per
+    threshold;
   * directed weighted trade flows -> blue edges to each country's top-k
     import and export partners, red elsewhere;
   * a seeded random pair mask, one bit per pair, for simulation
@@ -25,7 +25,6 @@ from dataclasses import dataclass
 from itertools import combinations
 from typing import Iterable, Sequence
 
-from .bounds import GoodmanBound, goodman_fraction
 from .census import CliqueCensus, mono_triangles
 from .coloring import TwoColoring, from_blue_edges
 from .errors import InputError, ParseError
@@ -166,8 +165,9 @@ def hamming_matrix(records: Sequence[VoterRecord]) -> DistanceMatrix:
     """Pairwise count of differing vote positions.
 
     A is an ordinary third symbol: it matches only another A. Each
-    record becomes three bitmasks (positions voting Y, N, A), and the
-    distance is the string length minus the agreeing positions.
+    record becomes two bitmasks (positions voting Y, positions voting
+    N; an A is in neither), and two records differ exactly where one of
+    the masks differs, so the distance is one popcount per pair.
     """
     n = len(records)
     if n == 0:
@@ -179,23 +179,19 @@ def hamming_matrix(records: Sequence[VoterRecord]) -> DistanceMatrix:
             raise InputError(
                 f"record {r.id!r} has length {len(r.votes)}, expected {length}"
             )
-        y = nay = a = 0
+        y = nay = 0
         for pos, ch in enumerate(r.votes):
-            bit = 1 << pos
             if ch == "Y":
-                y |= bit
+                y |= 1 << pos
             elif ch == "N":
-                nay |= bit
-            else:
-                a |= bit
-        masks.append((y, nay, a))
+                nay |= 1 << pos
+        masks.append((y, nay))
     d = [[0] * n for _ in range(n)]
     for i in range(n):
-        yi, ni, ai = masks[i]
+        yi, ni = masks[i]
         for j in range(i + 1, n):
-            yj, nj, aj = masks[j]
-            same = (yi & yj).bit_count() + (ni & nj).bit_count() + (ai & aj).bit_count()
-            d[i][j] = d[j][i] = length - same
+            yj, nj = masks[j]
+            d[i][j] = d[j][i] = ((yi ^ yj) | (ni ^ nj)).bit_count()
     return DistanceMatrix(d, labels=[r.id for r in records])
 
 
@@ -215,32 +211,19 @@ def threshold_coloring(d: DistanceMatrix, t: int) -> TwoColoring:
 
 
 @dataclass(frozen=True)
-class SweepRow:
-    """Census of one threshold graph in a sweep."""
-
-    t: int
-    census: CliqueCensus
-
-
-@dataclass(frozen=True)
 class SweepTable:
-    """Sweep rows ordered by threshold plus the floor they sit above."""
+    """The (t, census) rows of a sweep over n records, ordered by t."""
 
     n: int
-    rows: tuple[SweepRow, ...]
-    goodman: GoodmanBound
+    rows: tuple[tuple[int, CliqueCensus], ...]
 
 
-def sweep(
-    d: DistanceMatrix,
-    t_range: tuple[int, int],
-    subgroup: Sequence[int] | None = None,
-) -> SweepTable:
+def sweep(d: DistanceMatrix, t_range: tuple[int, int]) -> SweepTable:
     """Census every threshold graph for t in the inclusive range.
 
-    With a subgroup, the distance matrix is first restricted to those
-    indices. Rows come back ordered by t, and each equals the triangle
-    census of `threshold_coloring(d, t)`.
+    Rows come back ordered by t, and each census equals the triangle
+    census of `threshold_coloring(d, t)`. Sweep a subgroup through
+    `d.submatrix(indices)`.
 
     The threshold graphs are nested, so the sweep is one pass over the
     pairs in distance order: a pair turning red closes one red triangle
@@ -252,10 +235,6 @@ def sweep(
     t_min, t_max = t_range
     if t_min > t_max:
         raise InputError(f"empty threshold range [{t_min}, {t_max}]")
-    if subgroup is not None:
-        if len(subgroup) == 0:
-            raise InputError("subgroup must not be empty")
-        d = d.submatrix(subgroup)
     n = d.n
     if n < 3:
         raise InputError(f"a sweep needs at least 3 records, got {n}")
@@ -298,8 +277,8 @@ def sweep(
             mono = mono_triangles(n, map(int.bit_count, red))
             census = CliqueCensus(n=n, m=3, total=total, red_count=red_count,
                                   blue_count=mono - red_count)
-        rows.append(SweepRow(t=t, census=census))
-    return SweepTable(n=n, rows=tuple(rows), goodman=goodman_fraction(n))
+        rows.append((t, census))
+    return SweepTable(n=n, rows=tuple(rows))
 
 
 def parse_trade_flows(lines: Iterable[str]) -> list[TradeFlow]:

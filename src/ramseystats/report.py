@@ -21,11 +21,6 @@ from pathlib import Path
 from . import __version__
 
 
-def round3(x) -> float:
-    """Half-to-even rounding at 3 decimals, for display only."""
-    return round(float(x), 3)
-
-
 def _scalar(x):
     """A Fraction as a float and a non-finite float as its name ("inf",
     "-inf" or "nan"), for JSON and CSV alike; any other value as is."""

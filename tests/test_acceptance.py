@@ -105,8 +105,8 @@ def test_criterion_03_voting_reproduction():
     dist = ingest.hamming_matrix(records)
     tables = {}
     for token in ("G", "D", "R"):
-        idx = None if token == "G" else ingest.party_indices(records, token)
-        tables[token] = ingest.sweep(dist, (0, 17), subgroup=idx)
+        sub = dist if token == "G" else dist.submatrix(ingest.party_indices(records, token))
+        tables[token] = ingest.sweep(sub, (0, 17))
     elapsed = time.perf_counter() - start
     assert elapsed < 30.0
 
@@ -114,17 +114,17 @@ def test_criterion_03_voting_reproduction():
         assert table.n == SUBGROUP_N[token]
         # forced floors: 0.248 / 0.247 / 0.246 at three decimals
         expected_floor = {"G": 0.248, "D": 0.247, "R": 0.246}[token]
-        assert round(float(table.goodman.forced_fraction), 3) == expected_floor
-        for row, want in zip(table.rows, REPORTED_MONO[token]):
-            assert abs(float(row.census.mono_fraction) - want) <= 0.002, (token, row.t)
-        for row, want in zip(table.rows, REPORTED_TRANSITIVITY[token]):
-            assert abs(float(row.census.completion_ratio) - want) <= 0.002, (token, row.t)
+        floor = goodman_fraction(table.n).forced_fraction
+        assert round(float(floor), 3) == expected_floor
+        for (t, census), want in zip(table.rows, REPORTED_MONO[token]):
+            assert abs(float(census.mono_fraction) - want) <= 0.002, (token, t)
+        for (t, census), want in zip(table.rows, REPORTED_TRANSITIVITY[token]):
+            assert abs(float(census.completion_ratio) - want) <= 0.002, (token, t)
         t_box, want_box = BOXED_MONO[token]
-        assert abs(float(table.rows[t_box].census.mono_fraction) - want_box) <= 0.002
-        assert min(float(r.census.mono_fraction) for r in table.rows) == pytest.approx(
-            float(table.rows[t_box].census.mono_fraction)
-        )
-    assert abs(float(tables["G"].rows[9].census.completion_ratio) - 0.526) <= 0.002
+        boxed = float(table.rows[t_box][1].mono_fraction)
+        assert abs(boxed - want_box) <= 0.002
+        assert min(float(c.mono_fraction) for _, c in table.rows) == pytest.approx(boxed)
+    assert abs(float(tables["G"].rows[9][1].completion_ratio) - 0.526) <= 0.002
 
 
 def test_criterion_04_p_value_spot_checks():

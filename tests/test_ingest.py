@@ -163,6 +163,22 @@ def test_hamming_a_is_ordinary(sample_records):
     assert r == 3
 
 
+@st.composite
+def vote_strings(draw):
+    """Equally long Y/N/A strings, some past 64 positions, some all A."""
+    length = draw(st.integers(1, 70))
+    record = st.text("YNA", min_size=length, max_size=length) | st.just("A" * length)
+    return draw(st.lists(record, min_size=1, max_size=8))
+
+
+@given(votes=vote_strings())
+@example(votes=["AAAAA"] * 3)
+@example(votes=["AYN", "AAA", "NYA"])
+def test_hamming_matrix_matches_oracle(votes):
+    d = rs.hamming_matrix([rs.VoterRecord(str(i), "?", v) for i, v in enumerate(votes)])
+    assert d.d == tuple(tuple(oracles.hamming(a, b) for b in votes) for a in votes)
+
+
 def test_hamming_length_mismatch():
     recs = [
         rs.VoterRecord(id="1", party="?", votes="YN"),
@@ -227,33 +243,33 @@ def test_threshold_monotone(sample_matrix):
 
 def test_sweep_six_voters(sample_matrix):
     table = rs.sweep(sample_matrix, (0, 8))
-    assert [r.t for r in table.rows] == list(range(9))
-    monos = [float(r.census.mono_fraction) for r in table.rows]
+    assert [t for t, _ in table.rows] == list(range(9))
+    monos = [float(census.mono_fraction) for _, census in table.rows]
     assert monos == [1.0, 1.0, 1.0, 0.6, 0.45, 0.2, 0.3, 1.0, 1.0]
-    t5 = table.rows[5]
-    assert t5.census.red_count == 4 and t5.census.blue_count == 0
-    assert t5.census.completion_ratio == Fraction(12, 28)
-    assert table.goodman.forced_fraction == Fraction(2, 20)
+    t5, census5 = table.rows[5]
+    assert t5 == 5
+    assert census5.red_count == 4 and census5.blue_count == 0
+    assert census5.completion_ratio == Fraction(12, 28)
+    assert rs.goodman_fraction(table.n).forced_fraction == Fraction(2, 20)
     assert table.n == 6
 
 
 def test_sweep_single_point_equals_direct_census(sample_matrix):
     table = rs.sweep(sample_matrix, (5, 5))
-    assert len(table.rows) == 1
     direct = rs.triangle_census(rs.threshold_coloring(sample_matrix, 5))
-    assert table.rows[0].census == direct
+    assert table.rows == ((5, direct),)
 
 
 def test_sweep_subgroup(sample_matrix, sample_records):
     idx = rs.party_indices(sample_records, "D")
-    table = rs.sweep(sample_matrix, (0, 6), subgroup=idx)
+    table = rs.sweep(sample_matrix.submatrix(idx), (0, 6))
     assert table.n == 4
     # Democrats' pairwise distances all <= 5, so t=5 is all red
-    assert table.rows[5].census.mono_fraction == 1
+    assert table.rows[5][1].mono_fraction == 1
     with pytest.raises(rs.InputError):
-        rs.sweep(sample_matrix, (0, 2), subgroup=[])
+        rs.sweep(sample_matrix.submatrix([]), (0, 2))
     with pytest.raises(rs.InputError, match="at least 3 records, got 2"):
-        rs.sweep(sample_matrix, (0, 2), subgroup=idx[:2])
+        rs.sweep(sample_matrix.submatrix(idx[:2]), (0, 2))
     with pytest.raises(rs.InputError):
         rs.sweep(sample_matrix, (3, 2))
 
@@ -290,27 +306,26 @@ PATH = rs.DistanceMatrix([[abs(i - j) for j in range(5)] for i in range(5)])
 @example(case=(PATH, (5, 8), [3, 1, 4, 0]))
 def test_sweep_matches_per_threshold_census(case):
     d, (t_min, t_max), subgroup = case
-    table = rs.sweep(d, (t_min, t_max), subgroup)
     sub = d if subgroup is None else d.submatrix(subgroup)
+    table = rs.sweep(sub, (t_min, t_max))
     assert table.n == sub.n
-    assert table.goodman == rs.goodman_fraction(sub.n)
-    assert [row.t for row in table.rows] == list(range(t_min, t_max + 1))
-    for row in table.rows:
-        census = rs.triangle_census(rs.threshold_coloring(sub, row.t))
-        assert row.census == census
+    assert [t for t, _ in table.rows] == list(range(t_min, t_max + 1))
+    for t, census in table.rows:
+        assert census == rs.triangle_census(rs.threshold_coloring(sub, t))
 
 
 def test_sweep_error_messages(sample_matrix):
     cases = [
         ((-1, 3), None, "threshold must be >= 0, got -1"),
         ((3, 2), None, "empty threshold range [3, 2]"),
-        ((0, 3), [], "subgroup must not be empty"),
+        ((0, 3), [], "submatrix needs at least one index"),
         ((0, 3), [1, 1, 2], "submatrix indices must be distinct"),
         ((0, 3), [1, 2], "a sweep needs at least 3 records, got 2"),
     ]
     for t_range, subgroup, message in cases:
         with pytest.raises(rs.InputError) as err:
-            rs.sweep(sample_matrix, t_range, subgroup)
+            rs.sweep(sample_matrix if subgroup is None else sample_matrix.submatrix(subgroup),
+                     t_range)
         assert str(err.value) == message
 
 
@@ -321,8 +336,8 @@ def test_sweep_far_past_the_largest_distance(sample_matrix):
     assert len(table.rows) == 20_001
     all_red = rs.CliqueCensus(n=6, m=3, total=20, red_count=20, blue_count=0)
     largest = max(map(max, sample_matrix.d))
-    for row in table.rows[largest:]:
-        assert row.census == all_red
+    for _, census in table.rows[largest:]:
+        assert census == all_red
     assert elapsed < 2.0
 
 

@@ -6,13 +6,6 @@ from fractions import Fraction
 from ramseystats import Color, __version__, report
 
 
-def test_round3_half_to_even():
-    # dyadic ties resolve to the even digit
-    assert report.round3(0.0625) == 0.062
-    assert report.round3(0.1875) == 0.188
-    assert report.round3(Fraction(1, 3)) == 0.333
-
-
 def test_jsonable_conversions():
     @dataclass(frozen=True)
     class Point:

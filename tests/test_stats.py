@@ -42,9 +42,30 @@ def test_p_value_spot_values():
     assert rs.p_value(math.inf, 1) == 0.0
 
 
+def _even_df_upper_tail(x, df):
+    # for even df the upper tail is sum_{j < df/2} e^{-x/2} (x/2)^j / j!
+    h = x / 2
+    return math.fsum(math.exp(j * math.log(h) - h - math.lgamma(j + 1)) for j in range(df // 2))
+
+
+@pytest.mark.parametrize("df", [2 * 10**4, 2 * 10**6])
+@pytest.mark.parametrize("ratio", [0.99, 1.0, 1.01])
+def test_p_value_large_df(df, ratio):
+    # near the mean the expansions need about 8 * sqrt(df / 2) terms
+    x = ratio * df
+    assert rs.p_value(x, df) == pytest.approx(_even_df_upper_tail(x, df), rel=1e-7)
+
+
+def test_p_value_huge_statistic_terminates():
+    # past x ~ 2**54 the continued fraction's b += 2 no longer moves b
+    for df in (1, 2, 10**7):
+        assert rs.p_value(1.7e308, df) == 0.0
+
+
 def test_p_value_validation():
-    with pytest.raises(rs.InputError):
-        rs.p_value(1.0, 0)
+    for df in (0, 10**7 + 1):
+        with pytest.raises(rs.InputError, match=r"must lie in \[1, 10\*\*7\]"):
+            rs.p_value(1.0, df)
     with pytest.raises(rs.InputError):
         rs.p_value(-0.5, 1)
     with pytest.raises(rs.InputError):
@@ -127,13 +148,6 @@ def test_bias_summary():
 
     with pytest.raises(rs.UndefinedBiasError):
         rs.bias_summary(rs.CliqueCensus(n=6, m=3, total=20, red_count=0, blue_count=0))
-
-
-def test_normalized_threshold():
-    assert rs.normalized_threshold(5, 214) == Fraction(5, 214)
-    assert float(rs.normalized_threshold(5, 214)) == pytest.approx(0.0234, abs=5e-5)
-    with pytest.raises(rs.InputError):
-        rs.normalized_threshold(1, 0)
 
 
 def _check_sample_stdev(values):
