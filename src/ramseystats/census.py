@@ -76,13 +76,13 @@ class CliqueCensus:
 class MaxCliqueResult:
     """Largest single-color clique found by branch and bound.
 
-    The search has two phases, each with its own node budget: the
-    first finds the size, the second the lexicographically smallest
-    maximum clique (by sorted vertex tuple) as witness. nodes_explored
-    sums both, so it can reach twice the budget. If the first phase
-    runs out, size is only a lower bound and is_lower_bound is set; if
-    only the second does, size is exact but witness may not be the
-    smallest.
+    The search has two phases under one node budget: the first finds
+    the size, the second the lexicographically smallest maximum clique
+    (by sorted vertex tuple) as witness. nodes_explored counts both and
+    is at most the budget + 1. If the first phase runs out, size is
+    only a lower bound and is_lower_bound is set; if the second does,
+    size is exact but witness is the first phase's clique, which may not
+    be the smallest.
     """
 
     size: int
@@ -265,18 +265,19 @@ def max_clique(
     The red maximum clique doubles as the maximum independent set of
     the blue graph. Among equal-size maxima the lexicographically
     smallest witness is returned, found by re-querying the search with
-    each candidate vertex pinned in turn. node_budget bounds each of the
-    two phases (see MaxCliqueResult).
+    each candidate vertex pinned in turn. node_budget (>= 1) bounds both
+    phases together (see MaxCliqueResult).
 
     The search recurses once per clique vertex, so the clique must be
     smaller than Python's recursion limit (sys.getrecursionlimit(),
     1000 by default) less the caller's frames; a search that reaches
     the limit raises InputError.
     """
+    if node_budget < 1:
+        raise InputError(f"clique budget must be >= 1, got {node_budget}")
     rows = coloring.rows(color)
     full = (1 << coloring.n) - 1
     search = _CliqueSearch(rows, node_budget)
-    refine = _CliqueSearch(rows, node_budget)
     try:
         search.expand(full)
         witness = search.best
@@ -287,7 +288,7 @@ def max_clique(
             while need:
                 for v in iter_bits(cand):
                     rest = cand & rows[v] & (-1 << (v + 1))
-                    if need == 1 or refine.has_clique(rest, need - 1):
+                    if search.has_clique(rest, need - 1):
                         chosen.append(v)
                         cand = rest
                         need -= 1
@@ -309,7 +310,7 @@ def max_clique(
         size=search.best_size,
         witness=witness,
         is_lower_bound=False,
-        nodes_explored=search.nodes + refine.nodes,
+        nodes_explored=search.nodes,
     )
 
 

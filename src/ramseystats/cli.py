@@ -47,25 +47,24 @@ def _fail(code: int, message: str):
 
 def _resolve_out_dir(opt: str) -> Path:
     path = Path(opt)
-    path.mkdir(parents=True, exist_ok=True)
+    try:
+        path.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        _fail(1, f"cannot use --out-dir {path}: {exc.strerror}")
     return path
 
 
 def _load(path: Path, parse, what: str) -> list:
-    """Parse an input file into a non-empty list of `what`."""
+    """Parse a UTF-8 input file (BOM optional) into a non-empty list of `what`."""
     if not path.is_file():
         _fail(2, f"input file not found: {path}")
     try:
-        items = parse(path.read_text(encoding="utf-8").splitlines())
-    except ParseError as exc:
+        items = parse(path.read_text(encoding="utf-8-sig").splitlines())
+    except (ParseError, UnicodeDecodeError) as exc:
         _fail(3, f"{path}: {exc}")
     if not items:
         _fail(3, f"{path}: no {what}")
     return items
-
-
-def _trade_graph(path: Path, k: int):
-    return ingest.build_trade_graph(_load(path, ingest.parse_trade_flows, "flows"), k)
 
 
 def _safe_name(token: str) -> str:
@@ -84,6 +83,14 @@ def _parse_orders(text: str, minimum: int, maximum: int | None = None) -> tuple[
     if maximum is not None and orders[-1] > maximum:
         _fail(1, f"order {orders[-1]} above the supported maximum {maximum}")
     return orders
+
+
+def _reject_options(names: set[str], context: str) -> None:
+    """Fail if any of the named options was given on the command line."""
+    ctx = click.get_current_context()
+    for opt in (param for param in ctx.command.params if param.name in names):
+        if ctx.get_parameter_source(opt.name) is ParameterSource.COMMANDLINE:
+            _fail(1, f"{opt.opts[0]} does not apply to {context}")
 
 
 def _report(out: Path, fmt: str, stem: str, doc: dict, tables: dict[str, list[dict]]):
@@ -152,7 +159,7 @@ def _votes_sweeps(path: Path, subgroups, t_min: int, t_max: int | None):
     dist = ingest.hamming_matrix(records)
     votes = len(records[0].votes)
     if t_max is None:
-        t_max = max(max(row) for row in dist.d) + 1 if dist.n > 1 else 1
+        t_max = max(max(row) for row in dist.d) + 1
     elif t_max > votes + 1:
         _fail(1, f"t-max {t_max} above {votes + 1}: no distance exceeds the {votes} votes "
                  "per record")
@@ -302,11 +309,8 @@ def _chi2_reports(observed, expected, n, df, significance) -> list[dict]:
 def cmd_chi2(input_path, kind, subgroups, t_min, t_max, df, k, significance, fmt,
              out_dir):
     """Chi-squared deviation reports for a votes sweep or a trade graph."""
-    ctx = click.get_current_context()
-    other = {"k"} if kind == "votes" else {"subgroups", "t_min", "t_max"}
-    for opt in (param for param in ctx.command.params if param.name in other):
-        if ctx.get_parameter_source(opt.name) is ParameterSource.COMMANDLINE:
-            _fail(1, f"{opt.opts[0]} does not apply to --kind {kind}")
+    _reject_options({"k"} if kind == "votes" else {"subgroups", "t_min", "t_max"},
+                    f"--kind {kind}")
     if not 0 < significance < 1:  # also rejects nan
         _fail(1, f"--significance must lie in (0, 1), got {significance}")
     if kind == "votes":
@@ -325,7 +329,7 @@ def cmd_chi2(input_path, kind, subgroups, t_min, t_max, df, k, significance, fmt
             for token, table in tables
         ]
     else:
-        graph = _trade_graph(input_path, k)
+        graph = ingest.build_trade_graph(_load(input_path, ingest.parse_trade_flows, "flows"), k)
         if k > graph.n:
             _fail(1, f"--k {k} above the {graph.n} countries of the trade graph")
         t_norm = Fraction(k, graph.n)
@@ -386,13 +390,16 @@ def cmd_chi2(input_path, kind, subgroups, t_min, t_max, df, k, significance, fmt
 def cmd_trade(input_path, k, orders, density_vertex, clique_budget, fmt, out_dir):
     """Census and extremal structure of a top-k trade partner graph."""
     orders = _parse_orders(orders, minimum=3, maximum=5)
-    if clique_budget < 1:
-        _fail(1, f"clique budget must be >= 1, got {clique_budget}")
-    graph = _trade_graph(input_path, k)
+    graph = ingest.build_trade_graph(_load(input_path, ingest.parse_trade_flows, "flows"), k)
     n, labels = graph.n, graph.labels
     for label in density_vertex:
         if label not in labels:
             _fail(1, f"no vertex labelled {label!r} in the trade graph")
+    # the searches reject a budget below 1, before any census runs
+    cliques = {
+        "max_blue_clique": census_lib.max_clique(graph, Color.BLUE, clique_budget),
+        "max_blue_independent_set": census_lib.max_clique(graph, Color.RED, clique_budget),
+    }
 
     top = sorted(
         ((graph.degree(v, Color.BLUE), labels[v]) for v in range(n)),
@@ -429,10 +436,6 @@ def cmd_trade(input_path, k, orders, density_vertex, clique_budget, fmt, out_dir
     else:
         with contextlib.suppress(UndefinedBiasError):
             bias = stats.bias_summary(tri)
-    cliques = {
-        "max_blue_clique": census_lib.max_clique(graph, Color.BLUE, clique_budget),
-        "max_blue_independent_set": census_lib.max_clique(graph, Color.RED, clique_budget),
-    }
     witnesses = {key: [labels[v] for v in r.witness] for key, r in cliques.items()}
     densities = dict.fromkeys(density_vertex)
     for label in densities:
@@ -517,6 +520,8 @@ def cmd_trade(input_path, k, orders, density_vertex, clique_budget, fmt, out_dir
 @_output_options
 def cmd_simulate(n, t_min, t_max, t_step, samples, seed, exhaustive, fmt, out_dir):
     """Monte Carlo monochromatic counts against the analytic expectation."""
+    if exhaustive:
+        _reject_options({"t_min", "t_max", "t_step", "samples", "seed"}, "--exhaustive")
     floor = bounds_lib.goodman_min(n)
     doc = {"command": "simulate", "n": n, "goodman_floor": floor}
     stem = "simulate_exhaustive" if exhaustive else "simulate"
@@ -562,7 +567,7 @@ def cmd_simulate(n, t_min, t_max, t_step, samples, seed, exhaustive, fmt, out_di
                 "t": float(tau),
                 "analytic": float(bounds_lib.expected_mono(n, 3, tau).expected_mono),
                 "empirical": statistics.fmean(counts),
-                "stderr": stats.sample_stdev(counts) / sqrt(samples) if samples > 1 else 0.0,
+                "stderr": statistics.stdev(counts) / sqrt(samples) if samples > 1 else 0.0,
             })
             tau += step
         doc.update(mode="monte-carlo", samples=samples, seed=seed, rows=rows)
@@ -590,8 +595,6 @@ def cmd_simulate(n, t_min, t_max, t_step, samples, seed, exhaustive, fmt, out_di
 def cmd_bounds(n_min, n_max, orders, fmt, out_dir):
     """Forced-floor and minimal-fraction reference tables."""
     orders = _parse_orders(orders, minimum=4)
-    if n_min < 3:
-        _fail(1, f"n-min must be >= 3, got {n_min}")
     if n_min > n_max:
         _fail(1, f"empty n range [{n_min}, {n_max}]")
     floors = [asdict(bounds_lib.goodman_fraction(n)) for n in range(n_min, n_max + 1)]

@@ -118,16 +118,12 @@ def from_blue_edges(
     """Build a coloring with blue exactly on the given pairs.
 
     Pairs are symmetrized and deduplicated; every other off-diagonal
-    pair is red. Endpoints must lie in [0, n) and loops are rejected.
+    pair is red. Endpoints must lie in [0, n); TwoColoring rejects loops.
     """
-    if n < 1:
-        raise InputError(f"vertex count must be >= 1, got {n}")
     rows = [0] * n
     for i, j in edges:
         if not (0 <= i < n and 0 <= j < n):
             raise InputError(f"edge ({i}, {j}) has endpoint outside [0, {n})")
-        if i == j:
-            raise InputError(f"loop edge ({i}, {j}) not allowed")
         rows[i] |= 1 << j
         rows[j] |= 1 << i
     return TwoColoring(

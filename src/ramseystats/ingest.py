@@ -229,8 +229,7 @@ def sweep(d: DistanceMatrix, t_range: tuple[int, int]) -> SweepTable:
     pairs in distance order: a pair turning red closes one red triangle
     per common red neighbour, one popcount of the two red rows. The
     blue count then follows from the red degrees by Goodman's identity
-    (census.mono_triangles). A threshold that turns no pair red reuses
-    the previous row's census.
+    (census.mono_triangles).
     """
     t_min, t_max = t_range
     if t_min > t_max:
@@ -243,9 +242,7 @@ def sweep(d: DistanceMatrix, t_range: tuple[int, int]) -> SweepTable:
 
     # joins[t][a]: bitmask of the b > a whose pair with a turns red at t.
     # Pairs at or below t_min join at t_min; pairs above t_max never do.
-    # Only thresholds that turn some pair red have an entry, apart from
-    # t_min, whose census every later row starts from.
-    joins: dict[int, dict[int, int]] = {t_min: {}}
+    joins: dict[int, dict[int, int]] = {}
     for a, row in enumerate(d.d):
         by_distance: dict[int, int] = {}
         for b in range(a + 1, n):
@@ -261,23 +258,20 @@ def sweep(d: DistanceMatrix, t_range: tuple[int, int]) -> SweepTable:
     red_count = 0
     rows = []
     for t in range(t_min, t_max + 1):
-        at_t = joins.get(t)
-        if at_t is not None:
-            for a, new in at_t.items():
-                red_a = red[a]
-                bit_a = 1 << a
-                while new:
-                    low = new & -new
-                    new ^= low
-                    b = low.bit_length() - 1
-                    red_count += (red_a & red[b]).bit_count()
-                    red_a |= low
-                    red[b] |= bit_a
-                red[a] = red_a
-            mono = mono_triangles(n, map(int.bit_count, red))
-            census = CliqueCensus(n=n, m=3, total=total, red_count=red_count,
-                                  blue_count=mono - red_count)
-        rows.append((t, census))
+        for a, new in joins.get(t, {}).items():
+            red_a = red[a]
+            bit_a = 1 << a
+            while new:
+                low = new & -new
+                new ^= low
+                b = low.bit_length() - 1
+                red_count += (red_a & red[b]).bit_count()
+                red_a |= low
+                red[b] |= bit_a
+            red[a] = red_a
+        mono = mono_triangles(n, map(int.bit_count, red))
+        rows.append((t, CliqueCensus(n=n, m=3, total=total, red_count=red_count,
+                                     blue_count=mono - red_count)))
     return SweepTable(n=n, rows=tuple(rows))
 
 

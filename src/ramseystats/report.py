@@ -14,7 +14,6 @@ import io
 import json
 import math
 from dataclasses import fields, is_dataclass
-from enum import Enum
 from fractions import Fraction
 from pathlib import Path
 
@@ -34,9 +33,9 @@ def _scalar(x):
 def jsonable(obj):
     """Convert nested values into JSON-safe structures.
 
-    Fractions become floats, enums their values, dataclasses dicts,
-    tuples lists; non-finite floats become strings since strict JSON
-    has no spelling for them.
+    Fractions become floats, dataclasses dicts, tuples lists;
+    non-finite floats become strings since strict JSON has no spelling
+    for them.
     """
     if is_dataclass(obj) and not isinstance(obj, type):
         return {f.name: jsonable(getattr(obj, f.name)) for f in fields(obj)}
@@ -44,8 +43,6 @@ def jsonable(obj):
         return {str(k): jsonable(v) for k, v in obj.items()}
     if isinstance(obj, (list, tuple)):
         return [jsonable(v) for v in obj]
-    if isinstance(obj, Enum):
-        return obj.value
     return _scalar(obj)
 
 

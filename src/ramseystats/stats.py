@@ -166,27 +166,6 @@ def bar_chi2(values: Sequence[float]) -> float:
     return sum(values) / len(values)
 
 
-def sample_stdev(values: Sequence[int]) -> float:
-    """Sample standard deviation of integers, correctly rounded.
-
-    The variance is exact and its square root is rounded once, as
-    statistics.stdev does from Python 3.11 on (Python 3.10 rounds the
-    variance to a float first, which can change the last bit).
-    """
-    n = len(values)
-    if n < 2:
-        raise InputError(f"need at least two values, got {n}")
-    total = sum(values)
-    num, den = n * sum(v * v for v in values) - total * total, n * (n - 1)
-    # scale the root to >= 59 bits and round it to odd, so that the one
-    # rounding to float below is correct
-    shift = max(0, 60 - (num.bit_length() - den.bit_length()) // 2)
-    root = math.isqrt((num << 2 * shift) // den)
-    if root * root * den != num << 2 * shift:
-        root |= 1
-    return root / (1 << shift)
-
-
 class BiasSummary(NamedTuple):
     red_share: Fraction
     blue_share: Fraction

@@ -5,7 +5,7 @@ from itertools import combinations
 from math import comb
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import oracles
@@ -220,6 +220,32 @@ def test_max_clique_search_tree_is_pinned():
         14, (6, 7, 11, 14, 18, 28, 29, 31, 32, 40, 42, 44, 49, 52), 1001
     )
     assert not r.is_lower_bound
+
+
+@settings(deadline=None)
+@given(
+    n=st.integers(1, 40),
+    p=st.sampled_from(BLUE_DENSITIES + (0.25, 0.75)),
+    seed=st.integers(0, 2**32),
+    color=st.sampled_from(Color),
+    budget=st.integers(1, 400),
+)
+@example(n=60, p=0.25, seed=2, color=Color.RED, budget=500)  # 962 nodes with a budget per phase
+def test_max_clique_budget_caps_the_whole_search(n, p, seed, color, budget):
+    c = rs.random_coloring(n, p, seed=seed)
+    full = rs.max_clique(c, color)
+    got = rs.max_clique(c, color, node_budget=budget)
+    assert got.nodes_explored <= budget + 1
+    if budget >= full.nodes_explored:
+        assert got == full
+    elif got.is_lower_bound:
+        assert got.size <= full.size
+    else:  # only the witness search ran out: the size is exact
+        assert got.size == len(got.witness) == full.size
+        assert oracles.is_clique(c, got.witness, color)
+    for bad in (0, -5):
+        with pytest.raises(rs.InputError, match="clique budget must be >= 1"):
+            rs.max_clique(c, color, node_budget=bad)
 
 
 def test_max_clique_deeper_than_recursion_limit_is_input_error():

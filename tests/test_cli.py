@@ -7,7 +7,7 @@ from collections import Counter
 from fractions import Fraction
 from math import comb, sqrt
 from pathlib import Path
-from statistics import fmean
+from statistics import fmean, stdev
 
 import pytest
 from click.testing import CliRunner
@@ -16,7 +16,7 @@ from hypothesis import strategies as st
 
 import oracles
 import ramseystats as rs
-from ramseystats import census, report, stats
+from ramseystats import census, report
 from ramseystats.cli import OUT_DIR_ENV, main
 
 
@@ -120,6 +120,48 @@ def test_header_layout_writes_the_same_files(runner, sample_votes_path, tmp_path
     assert outputs[headed] == outputs[sample_votes_path]
 
 
+def _run_all(runner, path, runs, out):
+    """Exit code, stdout and stderr (out dir masked) and written files,
+    less the manifest, of each run on one input."""
+    seen = []
+    for i, args in enumerate(runs):
+        where = out / str(i)
+        result = runner.invoke(main, [*args, "--input", str(path), "--out-dir", str(where)])
+        files = {p.name: p.read_bytes() for p in where.glob("*") if p.name != "manifest.json"}
+        seen.append((result.exit_code, result.output.replace(str(where), "<out>"), files))
+    return seen
+
+
+@pytest.mark.parametrize("fixture, runs", [
+    ("sample_votes_path", [["sweep", "--subgroup", "G", "--subgroup", "D"],
+                           ["chi2", "--format", "json"],
+                           ["sweep", "--subgroup", "R"]]),  # fails, naming the record count
+    ("trade_small_path", [["trade", "--k", "2"], ["chi2", "--kind", "trade", "--k", "2"]]),
+], ids=["votes", "trade"])
+def test_byte_order_mark_writes_the_same_files(runner, tmp_path, request, fixture, runs):
+    plain = request.getfixturevalue(fixture)
+    marked = tmp_path / plain.name
+    marked.write_bytes(b"\xef\xbb\xbf" + plain.read_bytes())
+    want = _run_all(runner, plain, runs, tmp_path / "plain")
+    assert _run_all(runner, marked, runs, tmp_path / "marked") == want
+    assert want[0][0] == 0
+
+
+@pytest.mark.parametrize("fixture, command", [
+    ("sample_votes_path", ["sweep"]), ("trade_small_path", ["trade", "--k", "2"]),
+], ids=["votes", "trade"])
+def test_input_not_in_utf8_exit_3(runner, tmp_path, request, fixture, command):
+    latin1 = tmp_path / "latin1.csv"
+    text = request.getfixturevalue(fixture).read_text()
+    latin1.write_bytes(text.replace("a", "\xe9", 1).encode("latin-1"))
+    result = runner.invoke(main, [*command, "--input", str(latin1),
+                                  "--out-dir", str(tmp_path / "out")])
+    assert result.exit_code == 3
+    assert isinstance(result.exception, SystemExit)
+    assert result.output.startswith(f"error: {latin1}: 'utf-8' codec can't decode byte 0xe9")
+    assert not (tmp_path / "out").exists()
+
+
 def test_votes_format_option_is_gone(runner, sample_votes_path, tmp_path):
     for command in ("sweep", "chi2"):
         result = runner.invoke(main, [
@@ -185,6 +227,17 @@ def test_out_dir_env_var(runner, sample_votes_path, tmp_path, monkeypatch):
         assert (where / "sweep_G.csv").is_file()
         manifest = json.loads((where / "manifest.json").read_text())
         assert manifest["config"]["out_dir"] == (value or ".")
+
+
+def test_out_dir_naming_a_file_exit_1(runner, tmp_path):
+    taken = tmp_path / "taken"
+    taken.write_text("keep")
+    for out in (taken, taken / "below"):
+        result = runner.invoke(main, ["bounds", "--n-max", "8", "--out-dir", str(out)])
+        assert result.exit_code == 1
+        assert isinstance(result.exception, SystemExit)
+        assert result.output.startswith(f"error: cannot use --out-dir {out}: "), result.output
+    assert taken.read_text() == "keep"
 
 
 def test_chi2_votes(runner, sample_votes_path, tmp_path):
@@ -353,15 +406,18 @@ def test_trade_clique_deeper_than_recursion_limit_exit_1(runner, tmp_path):
     assert not (tmp_path / "out").exists()
 
 
-def test_trade_bad_budget_exit_1(runner, trade_small_path, tmp_path):
+def test_trade_bad_budget_exit_1(runner, trade_small_path, tmp_path, monkeypatch):
+    calls = []
+    monkeypatch.setattr(census, "clique_census", lambda *a, **kw: calls.append(a))
     for budget in ("0", "-5"):
         result = runner.invoke(main, [
             "trade", "--input", str(trade_small_path), "--k", "2",
-            "--clique-budget", budget, "--out-dir", str(tmp_path),
+            "--clique-budget", budget, "--out-dir", str(tmp_path / "out"),
         ])
         assert result.exit_code == 1
-        assert "clique budget" in result.output
-    assert not (tmp_path / "trade_summary.csv").exists()
+        assert result.output == f"error: clique budget must be >= 1, got {budget}\n"
+    assert calls == []
+    assert not (tmp_path / "out").exists()
 
 
 def test_trade_unknown_density_vertex_fails_before_census(
@@ -456,7 +512,7 @@ def test_simulate_monte_carlo_matches_census_oracle(n, seed, samples, step):
         counts = [rs.triangle_census(rs.random_coloring(n, float(t), master.getrandbits(63))).mono
                   for _ in range(samples)]
         assert row["empirical"] == fmean(counts)
-        want = stats.sample_stdev(counts) / sqrt(samples) if samples > 1 else 0.0
+        want = stdev(counts) / sqrt(samples) if samples > 1 else 0.0
         assert row["stderr"] == want
 
 
@@ -481,6 +537,19 @@ def test_simulate_exhaustive_matches_oracle(runner, tmp_path, n):
     want = Counter(rs.triangle_census(c).mono for c in oracles.enumerate_colorings(n))
     assert doc["distribution"] == [{"mono": m, "colorings": k} for m, k in sorted(want.items())]
     assert doc["colorings"] == 2 ** comb(n, 2)
+
+
+@pytest.mark.parametrize("extra", [
+    ["--samples", "2000"], ["--seed", "3"], ["--t-min", "0"], ["--t-max", "0.5"],
+    ["--t-step", "0.1"],
+], ids=lambda extra: extra[0])
+def test_simulate_exhaustive_rejects_sampling_options(runner, tmp_path, extra):
+    result = runner.invoke(main, [
+        "simulate", "--exhaustive", "--n", "4", *extra, "--out-dir", str(tmp_path / "out"),
+    ])
+    assert result.exit_code == 1
+    assert result.output == f"error: {extra[0]} does not apply to --exhaustive\n"
+    assert not (tmp_path / "out").exists()
 
 
 def test_simulate_validation(runner, tmp_path):

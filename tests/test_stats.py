@@ -1,15 +1,9 @@
 import math
-import random
-import statistics
-import sys
 from fractions import Fraction
 
 import pytest
-from hypothesis import given
-from hypothesis import strategies as st
 
 import ramseystats as rs
-from ramseystats import stats
 
 
 def test_chi2_validation():
@@ -148,32 +142,3 @@ def test_bias_summary():
 
     with pytest.raises(rs.UndefinedBiasError):
         rs.bias_summary(rs.CliqueCensus(n=6, m=3, total=20, red_count=0, blue_count=0))
-
-
-def _check_sample_stdev(values):
-    got = stats.sample_stdev(values)
-    n = len(values)
-    mean = Fraction(sum(values), n)
-    var = sum((v - mean) ** 2 for v in values) / (n - 1)
-    # the exact root lies within half a step of got on either side
-    lo = (Fraction(got) + Fraction(math.nextafter(got, 0))) / 2 if got > 0 else 0
-    hi = (Fraction(got) + Fraction(math.nextafter(got, math.inf))) / 2
-    assert lo * lo <= var <= hi * hi, values
-    if sys.version_info >= (3, 11):  # stdev is correctly rounded from 3.11 on
-        assert got == statistics.stdev(values)
-
-
-@given(st.lists(st.integers(-(10**12), 10**12), min_size=2, max_size=40))
-def test_sample_stdev_is_correctly_rounded(values):
-    _check_sample_stdev(values)
-
-
-def test_sample_stdev_seeded_counts():
-    # triangle-count-like samples; a root that is truncated instead of
-    # rounded shows up in a few percent of them
-    rng = random.Random(0)
-    for _ in range(3000):
-        _check_sample_stdev([rng.randint(0, 1140) for _ in range(rng.randint(2, 60))])
-    assert stats.sample_stdev([3, 3]) == 0.0
-    with pytest.raises(rs.InputError):
-        stats.sample_stdev([1])
