@@ -53,6 +53,7 @@ from .ingest import (
     party_indices,
     random_coloring,
     random_pair_mask,
+    random_pair_masks,
     sweep,
     threshold_coloring,
 )
@@ -111,6 +112,7 @@ __all__ = [
     "per_vertex_triangles",
     "random_coloring",
     "random_pair_mask",
+    "random_pair_masks",
     "sweep",
     "threshold_coloring",
     "thomason_bound",

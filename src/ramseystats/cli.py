@@ -38,6 +38,9 @@ from .coloring import Color
 from .errors import InputError, ParseError, UndefinedBiasError, UndefinedDensityError
 
 OUT_DIR_ENV = "RAMSEYSTATS_OUT_DIR"
+# Monte Carlo simulate keeps one count per (density, sample) until its
+# rows are summarised, so their number is capped before any draw.
+MAX_SIMULATED_COLORINGS = 1_000_000
 
 
 def _fail(code: int, message: str):
@@ -555,21 +558,26 @@ def cmd_simulate(n, t_min, t_max, t_step, samples, seed, exhaustive, fmt, out_di
             _fail(1, f"t-step must be positive, got {t_step}")
         if not (0 <= lo <= hi <= 1):
             _fail(1, "need 0 <= t-min <= t-max <= 1")
+        points = (hi - lo) // step + 1
+        if points * samples > MAX_SIMULATED_COLORINGS:
+            _fail(1, f"{points} densities x {samples} samples exceeds the cap of "
+                     f"{MAX_SIMULATED_COLORINGS} colorings")
+        grid = [lo + k * step for k in range(points)]
+        ts = [float(tau) for tau in grid]
         incident = ingest.pair_incidence(n)
         master = random.Random(seed)
-        rows, tau = [], lo
-        while tau <= hi:
-            masks = (ingest.random_pair_mask(n, float(tau), master.getrandbits(63))
-                     for _ in range(samples))
-            counts = [census_lib.mono_triangles(n, [(mask & inc).bit_count() for inc in incident])
-                      for mask in masks]
-            rows.append({
-                "t": float(tau),
-                "analytic": float(bounds_lib.expected_mono(n, 3, tau).expected_mono),
-                "empirical": statistics.fmean(counts),
-                "stderr": statistics.stdev(counts) / sqrt(samples) if samples > 1 else 0.0,
-            })
-            tau += step
+        counts = [[] for _ in grid]
+        for _ in range(samples):
+            masks = ingest.random_pair_masks(n, ts, master.getrandbits(63))
+            for at_t, mask in zip(counts, masks):
+                at_t.append(census_lib.mono_triangles(
+                    n, [(mask & inc).bit_count() for inc in incident]))
+        rows = [{
+            "t": t,
+            "analytic": float(bounds_lib.expected_mono(n, 3, tau).expected_mono),
+            "empirical": statistics.fmean(at_t),
+            "stderr": statistics.stdev(at_t) / sqrt(samples) if samples > 1 else 0.0,
+        } for tau, t, at_t in zip(grid, ts, counts)]
         doc.update(mode="monte-carlo", samples=samples, seed=seed, rows=rows)
         body = [
             [f"{r['t']:.3f}", f"{r['analytic']:.2f}", f"{r['empirical']:.2f}",

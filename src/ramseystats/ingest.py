@@ -9,8 +9,9 @@ Three routes in:
     threshold;
   * directed weighted trade flows -> blue edges to each country's top-k
     import and export partners, red elsewhere;
-  * a seeded random pair mask, one bit per pair, for simulation
-    baselines, and the coloring it stands for.
+  * seeded random pair masks, one bit per pair, for simulation
+    baselines (one set of draws read at several densities), and the
+    coloring a mask stands for.
 
 Parsing is strict: wrong field counts and unknown tokens fail with the
 offending line number rather than being papered over.
@@ -21,8 +22,10 @@ from __future__ import annotations
 import csv
 import math
 import random
+from bisect import bisect_right
 from dataclasses import dataclass
-from itertools import combinations
+from itertools import accumulate, combinations, pairwise
+from operator import or_
 from typing import Iterable, Sequence
 
 from .census import CliqueCensus, mono_triangles
@@ -340,19 +343,32 @@ def random_pair_mask(n: int, t: float, seed: int) -> int:
     Pair b, the b-th pair of combinations(range(n), 2), i.e. the pairs
     in ascending (i, j) order, sits on bit b and is blue when set.
     Randomness comes from CPython's Mersenne Twister (random.Random)
-    seeded as given, drawing once per pair in that order, so a seed
-    pins the exact coloring on every platform.
+    seeded as given, drawing once per pair in that order; pair b is
+    blue when its draw is < t, so a seed pins the exact coloring on
+    every platform. This is random_pair_masks(n, [t], seed)[0].
+    """
+    return random_pair_masks(n, [t], seed)[0]
+
+
+def random_pair_masks(n: int, ts: Sequence[float], seed: int) -> list[int]:
+    """random_pair_mask(n, t, seed) for each t of the ascending ts.
+
+    The masks share one set of draws, so they are nested: a pair blue
+    at t is blue at every larger t. Each draw sets its pair's bit once,
+    at the first t above it; the masks are the running ORs of those.
     """
     if n < 1:
         raise InputError(f"vertex count must be >= 1, got {n}")
-    if not 0 <= t <= 1:
-        raise InputError(f"blue probability must be in [0, 1], got {t}")
+    for t in ts:
+        if not 0 <= t <= 1:
+            raise InputError(f"blue probability must be in [0, 1], got {t}")
+    if any(a > b for a, b in pairwise(ts)):
+        raise InputError("blue probabilities must be in ascending order")
     r = random.Random(seed).random
-    mask = 0
+    turns_blue = [0] * (len(ts) + 1)  # the last entry: blue at no t
     for b in range(math.comb(n, 2)):
-        if r() < t:
-            mask |= 1 << b
-    return mask
+        turns_blue[bisect_right(ts, r())] |= 1 << b
+    return list(accumulate(turns_blue[:-1], or_))
 
 
 def pair_incidence(n: int) -> list[int]:

@@ -6,6 +6,7 @@ search, every coloring of K_n built and validated. Only usable for
 small n.
 """
 
+import random
 from itertools import combinations
 
 from ramseystats import Color, InputError, TwoColoring
@@ -29,6 +30,17 @@ def clique_count(coloring, color, m):
         for verts in combinations(range(coloring.n), m)
         if is_clique(coloring, verts, color)
     )
+
+
+def pair_draws(n, seed):
+    """One Mersenne Twister draw per pair of K_n, in combinations order."""
+    r = random.Random(seed)
+    return [r.random() for _ in combinations(range(n), 2)]
+
+
+def pair_mask(n, t, seed):
+    """Bit b set iff pair b's draw is below t."""
+    return sum(1 << b for b, x in enumerate(pair_draws(n, seed)) if x < t)
 
 
 def per_vertex_triangles(coloring, color):

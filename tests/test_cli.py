@@ -16,7 +16,7 @@ from hypothesis import strategies as st
 
 import oracles
 import ramseystats as rs
-from ramseystats import census, report
+from ramseystats import census, cli, ingest, report
 from ramseystats.cli import OUT_DIR_ENV, main
 
 
@@ -506,11 +506,11 @@ def test_simulate_monte_carlo_matches_census_oracle(n, seed, samples, step):
         ])
         rows = json.loads((Path(tmp) / "simulate.json").read_text())["rows"]
     master = random.Random(seed)
+    seeds = [master.getrandbits(63) for _ in range(samples)]
     grid = [k * Fraction(step) for k in range(int(1 / Fraction(step)) + 1)]
     assert [row["t"] for row in rows] == [float(t) for t in grid]
     for row, t in zip(rows, grid):
-        counts = [rs.triangle_census(rs.random_coloring(n, float(t), master.getrandbits(63))).mono
-                  for _ in range(samples)]
+        counts = [rs.triangle_census(rs.random_coloring(n, float(t), s)).mono for s in seeds]
         assert row["empirical"] == fmean(counts)
         want = stdev(counts) / sqrt(samples) if samples > 1 else 0.0
         assert row["stderr"] == want
@@ -550,6 +550,28 @@ def test_simulate_exhaustive_rejects_sampling_options(runner, tmp_path, extra):
     assert result.exit_code == 1
     assert result.output == f"error: {extra[0]} does not apply to --exhaustive\n"
     assert not (tmp_path / "out").exists()
+
+
+def test_simulate_grid_cap_exit_1(runner, tmp_path, monkeypatch):
+    def no_draws(*args):
+        raise AssertionError("drew before checking the cap")
+
+    monkeypatch.setattr(ingest, "random_pair_masks", no_draws)
+    result = runner.invoke(main, [
+        "simulate", "--t-step", "1e-12", "--samples", "1", "--out-dir", str(tmp_path / "out"),
+    ])
+    assert result.exit_code == 1
+    assert result.output == (
+        "error: 1000000000001 densities x 1 samples exceeds the cap of 1000000 colorings\n")
+    assert not (tmp_path / "out").exists()
+    monkeypatch.undo()
+    # the cap is on densities x samples, inclusive: 3 x 2 passes a cap of 6, 3 x 3 does not
+    monkeypatch.setattr(cli, "MAX_SIMULATED_COLORINGS", 6)
+    grid = ["simulate", "--n", "4", "--t-step", "0.5", "--out-dir", str(tmp_path / "out")]
+    run_ok(runner, grid + ["--samples", "2"])
+    result = runner.invoke(main, grid + ["--samples", "3"])
+    assert result.exit_code == 1
+    assert result.output == "error: 3 densities x 3 samples exceeds the cap of 6 colorings\n"
 
 
 def test_simulate_validation(runner, tmp_path):

@@ -493,3 +493,25 @@ def test_random_pair_mask_validation():
         rs.random_pair_mask(0, 0.5, seed=1)
     with pytest.raises(rs.InputError):
         rs.random_pair_mask(5, -0.1, seed=1)
+    for n, ts in [(0, [0.5]), (5, [0.2, 1.5]), (5, [-0.1, 0.2]), (5, [float("nan")]),
+                  (5, [0.5, 0.4]), (5, [0.0, 1.0, 0.5])]:
+        with pytest.raises(rs.InputError):
+            rs.random_pair_masks(n, ts, seed=1)
+
+
+@settings(deadline=None)
+@given(
+    n=st.integers(1, 25),
+    seed=st.integers(0, 2**63 - 1),
+    ts=st.lists(st.one_of(st.sampled_from([0.0, 1.0]), st.floats(0, 1)), max_size=6),
+    repeats=st.integers(0, 3),
+    tie=st.integers(0, 299),
+)
+def test_random_pair_masks_are_random_pair_mask(n, seed, ts, repeats, tie):
+    draws = oracles.pair_draws(n, seed)
+    if draws:
+        ts.append(draws[tie % len(draws)])  # a tie: that pair is not yet blue
+    ts = sorted(ts + [0.0, 1.0] + ts[:repeats])
+    masks = rs.random_pair_masks(n, ts, seed)
+    assert masks == [rs.random_pair_mask(n, t, seed) for t in ts]
+    assert masks == [oracles.pair_mask(n, t, seed) for t in ts]
