@@ -10,7 +10,6 @@ records and trade flows, plus a CLI wrapping the common pipelines.
 """
 
 from .bounds import (
-    ExpectationCurve,
     GoodmanBound,
     expected_mono,
     goodman_fraction,
@@ -37,7 +36,6 @@ from .errors import (
     DegenerateReferenceError,
     InputError,
     ParseError,
-    UndefinedBiasError,
     UndefinedDensityError,
     UnsupportedOrderError,
 )
@@ -58,10 +56,8 @@ from .ingest import (
     threshold_coloring,
 )
 from .stats import (
-    BiasSummary,
     Chi2Report,
     bar_chi2,
-    bias_summary,
     chi2,
     chi2_deviation,
     chi2_vs_goodman,
@@ -71,13 +67,11 @@ from .stats import (
 __version__ = "0.1.0"  # the one declaration; pyproject.toml reads it
 
 __all__ = [
-    "BiasSummary",
     "Chi2Report",
     "CliqueCensus",
     "Color",
     "DegenerateReferenceError",
     "DistanceMatrix",
-    "ExpectationCurve",
     "GoodmanBound",
     "InputError",
     "MaxCliqueResult",
@@ -85,12 +79,10 @@ __all__ = [
     "SweepTable",
     "TradeFlow",
     "TwoColoring",
-    "UndefinedBiasError",
     "UndefinedDensityError",
     "UnsupportedOrderError",
     "VoterRecord",
     "bar_chi2",
-    "bias_summary",
     "build_trade_graph",
     "chi2",
     "chi2_deviation",

@@ -1,11 +1,11 @@
 """Closed-form floors and ceilings on monochromatic clique counts.
 
 Every two-coloring of K_n is forced to contain a minimum number of
-monochromatic triangles (Goodman's theorem); random colorings have a
-simple expected census; and for orders m >= 4 only an upper bound on
-the minimal monochromatic fraction is known (Thomason). All results
-here are exact integers or exact rationals; callers convert to floats
-at the reporting boundary.
+monochromatic triangles (Goodman's theorem); a random coloring has a
+simple expected census, a CliqueCensus with rational counts; and for
+orders m >= 4 only an upper bound on the minimal monochromatic
+fraction is known (Thomason). All results here are exact integers or
+exact rationals; callers convert to floats at the reporting boundary.
 """
 
 from __future__ import annotations
@@ -14,6 +14,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import comb, ldexp
 
+from .census import CliqueCensus
 from .errors import InputError, UnsupportedOrderError
 
 
@@ -69,35 +70,14 @@ def thomason_bound(m: int) -> float:
     return ldexp(0.936, 1 - comb(m, 2))
 
 
-@dataclass(frozen=True)
-class ExpectationCurve:
-    """Expected monochromatic K_m census of a random coloring of K_n
-    where each edge is independently red with probability t.
+def expected_mono(n: int, m: int, t) -> CliqueCensus:
+    """Expected K_m census of a random coloring of K_n whose edges are
+    each red with probability t, independently.
 
-    expected_red = C(n,m) * t^C(m,2) and expected_blue is the mirror
-    term in (1-t). Values are exact rationals, so the mono sum is
-    exactly symmetric under t <-> 1-t and never overflows.
-    """
-
-    n: int
-    m: int
-    t: Fraction
-    expected_red: Fraction
-    expected_blue: Fraction
-
-    @property
-    def expected_mono(self) -> Fraction:
-        return self.expected_red + self.expected_blue
-
-    @property
-    def expected_mono_fraction(self) -> Fraction:
-        return self.expected_mono / comb(self.n, self.m)
-
-
-def expected_mono(n: int, m: int, t) -> ExpectationCurve:
-    """Expected red/blue/monochromatic K_m counts at red-edge probability t.
-
-    Accepts t as float, int, or Fraction; t must lie in [0, 1].
+    red_count = C(n,m) * t^C(m,2) and blue_count is the mirror term in
+    (1-t). The counts are exact rationals, so the mono sum is exactly
+    symmetric under t <-> 1-t and never overflows. Accepts t as float,
+    int, or Fraction; t must lie in [0, 1].
     """
     if m < 3:
         raise InputError(f"clique order must be >= 3, got {m}")
@@ -108,10 +88,10 @@ def expected_mono(n: int, m: int, t) -> ExpectationCurve:
         raise InputError(f"probability t must be in [0, 1], got {float(t)}")
     pairs = comb(m, 2)
     total = comb(n, m)
-    return ExpectationCurve(
+    return CliqueCensus(
         n=n,
         m=m,
-        t=t,
-        expected_red=total * t**pairs,
-        expected_blue=total * (1 - t) ** pairs,
+        total=total,
+        red_count=total * t**pairs,
+        blue_count=total * (1 - t) ** pairs,
     )

@@ -9,11 +9,15 @@ on a 214-vertex trade graph take under a second; K5 on its dense side
 takes about 20 s (2 cores, CPython 3.11).
 
 Everything here is a pure function of an immutable coloring; counts are
-exact integers and fractions are exact rationals.
+exact integers and fractions are exact rationals. CliqueCensus is the
+one census type: it also carries the expected census of a random
+coloring (bounds.expected_mono), and the transitivity and the red/blue
+bias of the monochromatic cliques are its properties.
 """
 
 from __future__ import annotations
 
+import math
 import sys
 from contextlib import suppress
 from dataclasses import dataclass
@@ -27,16 +31,22 @@ from .errors import InputError, UndefinedDensityError, UnsupportedOrderError
 
 @dataclass(frozen=True)
 class CliqueCensus:
-    """Exact monochromatic K_m counts by color on one coloring, m in {3, 4, 5}."""
+    """Monochromatic K_m counts by color among the C(n,m) m-vertex subsets.
+
+    For a coloring (clique_census, m in {3, 4, 5}) the counts are
+    integers; for the expectation over random colorings
+    (bounds.expected_mono, any m >= 3) they are exact rationals. Every
+    property below holds for either.
+    """
 
     n: int
     m: int
     total: int
-    red_count: int
-    blue_count: int
+    red_count: int | Fraction
+    blue_count: int | Fraction
 
     @property
-    def mono(self) -> int:
+    def mono(self) -> int | Fraction:
         return self.red_count + self.blue_count
 
     @property
@@ -70,6 +80,25 @@ class CliqueCensus:
         """Share of the mono_paths2 paths whose closing edge i-k has their
         color: 3*mono / mono_paths2, the transitivity of the coloring."""
         return Fraction(3 * self.mono, self.mono_paths2)
+
+    @property
+    def red_share(self) -> Fraction:
+        """Share of the monochromatic cliques that are red. This,
+        blue_share and bias_ratio raise InputError when mono is 0."""
+        if self.mono == 0:
+            raise InputError("no monochromatic triangles; shares are undefined")
+        return Fraction(self.red_count, self.mono)
+
+    @property
+    def blue_share(self) -> Fraction:
+        return 1 - self.red_share
+
+    @property
+    def bias_ratio(self) -> Fraction | float:
+        """Red over blue monochromatic cliques: a Fraction, or math.inf
+        for an all-red census rather than a failure."""
+        red = self.red_share
+        return math.inf if self.blue_count == 0 else red / self.blue_share
 
 
 @dataclass(frozen=True)

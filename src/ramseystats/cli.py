@@ -35,12 +35,22 @@ from . import bounds as bounds_lib
 from . import census as census_lib
 from . import ingest, report, stats
 from .coloring import Color
-from .errors import InputError, ParseError, UndefinedBiasError, UndefinedDensityError
+from .errors import InputError, ParseError, UndefinedDensityError
 
 OUT_DIR_ENV = "RAMSEYSTATS_OUT_DIR"
 # Monte Carlo simulate keeps one count per (density, sample) until its
 # rows are summarised, so their number is capped before any draw.
 MAX_SIMULATED_COLORINGS = 1_000_000
+# The pair work grows as n^4 and is capped before pair_incidence: each
+# sample ORs C(n,2) one-bit ints into masks up to C(n,2) bits wide, each
+# density ANDs its mask with n incidence rows as wide, and
+# pair_incidence(n) is built like two samples. On CPython 3.11 the
+# default run (n=20) needs 2.3e8 pair bits and takes 0.7 s; n=700 with
+# one sample at two densities needs 1.8e11 and takes 1.2 s.
+MAX_SIMULATED_PAIR_BITS = 10**11
+# bounds builds its whole table before writing; rows beyond this many
+# only creep toward the 1/4 limit.
+MAX_BOUNDS_ROWS = 10_000
 
 
 def _fail(code: int, message: str):
@@ -254,23 +264,22 @@ def cmd_sweep(input_path, subgroups, t_min, t_max, fmt, out_dir):
 # ----------------------------------------------------------------- chi2
 
 
+def _fraction_series(censuses) -> dict[str, list[float]]:
+    """The mono/red/blue shares of the total, one value per census."""
+    return {
+        "mono": [float(c.mono_fraction) for c in censuses],
+        "red": [float(c.red_count / c.total) for c in censuses],
+        "blue": [float(c.blue_count / c.total) for c in censuses],
+    }
+
+
 def _chi2_series(n: int, points):
     """The thresholds and the observed and expected mono/red/blue value
-    lists of (threshold, census, tau) points: the expectation is that of
-    a random coloring with red edge density tau."""
+    lists of (threshold, census, tau) points: the expectation is the
+    census of a random coloring with red edge density tau."""
     thresholds, censuses, taus = zip(*points)
-    curves = [bounds_lib.expected_mono(n, 3, tau) for tau in taus]  # rejects n < 3
-    observed = {
-        "mono": [float(c.mono_fraction) for c in censuses],
-        "red": [c.red_count / c.total for c in censuses],
-        "blue": [c.blue_count / c.total for c in censuses],
-    }
-    expected = {
-        "mono": [curve.expected_mono_fraction for curve in curves],
-        "red": [curve.expected_red / comb(n, 3) for curve in curves],
-        "blue": [curve.expected_blue / comb(n, 3) for curve in curves],
-    }
-    return list(thresholds), observed, expected
+    expected = [bounds_lib.expected_mono(n, 3, tau) for tau in taus]  # rejects n < 3
+    return list(thresholds), _fraction_series(censuses), _fraction_series(expected)
 
 
 def _chi2_reports(observed, expected, n, df, significance) -> list[dict]:
@@ -436,9 +445,8 @@ def cmd_trade(input_path, k, orders, density_vertex, clique_budget, fmt, out_dir
     bias = None
     if tri is None:
         tri = census_lib.triangle_census(graph)
-    else:
-        with contextlib.suppress(UndefinedBiasError):
-            bias = stats.bias_summary(tri)
+    else:  # n >= 6 here, so Goodman forces mono > 0 and the shares exist
+        bias = {key: getattr(tri, key) for key in ("red_share", "blue_share", "bias_ratio")}
     witnesses = {key: [labels[v] for v in r.witness] for key, r in cliques.items()}
     densities = dict.fromkeys(density_vertex)
     for label in densities:
@@ -459,7 +467,7 @@ def cmd_trade(input_path, k, orders, density_vertex, clique_budget, fmt, out_dir
         "top_blue_degrees": [{"label": label, "degree": deg} for deg, label in top],
         "census": census_rows,
         "bar_chi2": bar,
-        "bias": None if bias is None else bias._asdict(),
+        "bias": bias,
         "transitivity": {"mono": tri.mono, "mono_paths2": tri.mono_paths2,
                          "completion_ratio": tri.completion_ratio},
         "densities": densities,
@@ -475,7 +483,7 @@ def cmd_trade(input_path, k, orders, density_vertex, clique_budget, fmt, out_dir
     summary += [(f"top_blue_degree_{i}", f"{label}={deg}")
                 for i, (deg, label) in enumerate(top, start=1)]
     if bias is not None:
-        summary += bias._asdict().items()
+        summary += bias.items()
     summary += [(f"density_{label}", "undefined" if value is None else value)
                 for label, value in densities.items()]
     out = _resolve_out_dir(out_dir)
@@ -562,6 +570,11 @@ def cmd_simulate(n, t_min, t_max, t_step, samples, seed, exhaustive, fmt, out_di
         if points * samples > MAX_SIMULATED_COLORINGS:
             _fail(1, f"{points} densities x {samples} samples exceeds the cap of "
                      f"{MAX_SIMULATED_COLORINGS} colorings")
+        pairs = comb(n, 2)
+        work = (samples + 2) * pairs * (pairs + points * n)
+        if work > MAX_SIMULATED_PAIR_BITS:
+            _fail(1, f"n={n} with {points} densities x {samples} samples needs {work} "
+                     f"pair bits, above the cap of {MAX_SIMULATED_PAIR_BITS}")
         grid = [lo + k * step for k in range(points)]
         ts = [float(tau) for tau in grid]
         incident = ingest.pair_incidence(n)
@@ -574,7 +587,7 @@ def cmd_simulate(n, t_min, t_max, t_step, samples, seed, exhaustive, fmt, out_di
                     n, [(mask & inc).bit_count() for inc in incident]))
         rows = [{
             "t": t,
-            "analytic": float(bounds_lib.expected_mono(n, 3, tau).expected_mono),
+            "analytic": float(bounds_lib.expected_mono(n, 3, tau).mono),
             "empirical": statistics.fmean(at_t),
             "stderr": statistics.stdev(at_t) / sqrt(samples) if samples > 1 else 0.0,
         } for tau, t, at_t in zip(grid, ts, counts)]
@@ -605,6 +618,9 @@ def cmd_bounds(n_min, n_max, orders, fmt, out_dir):
     orders = _parse_orders(orders, minimum=4)
     if n_min > n_max:
         _fail(1, f"empty n range [{n_min}, {n_max}]")
+    rows = n_max - n_min + 1
+    if rows > MAX_BOUNDS_ROWS:
+        _fail(1, f"{rows} rows in n range [{n_min}, {n_max}] exceed the cap of {MAX_BOUNDS_ROWS}")
     floors = [asdict(bounds_lib.goodman_fraction(n)) for n in range(n_min, n_max + 1)]
     uppers = [{"m": m, "upper_bound": bounds_lib.thomason_bound(m)} for m in orders]
     out = _resolve_out_dir(out_dir)

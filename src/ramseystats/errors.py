@@ -27,7 +27,3 @@ class UndefinedDensityError(ValueError):
     """Raised when a neighborhood has fewer than two members, so its
     edge density is undefined (as opposed to zero)."""
 
-
-class UndefinedBiasError(ValueError):
-    """Raised when a coloring has no monochromatic triangles, so the
-    red:blue share is undefined."""

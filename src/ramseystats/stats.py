@@ -1,27 +1,27 @@
 """Chi-squared deviation statistics for monochromatic-fraction sweeps.
 
 An observed sweep (fraction of monochromatic triangles per threshold)
-is compared against two references: the expectation curve of a random
-coloring (`chi2`) and the constant Ramsey-forced floor
-(`chi2_vs_goodman`, which calls `chi2`). `chi2` is the one place the
+is compared against two references: the fractions of the expected
+census of a random coloring, `bounds.expected_mono` (`chi2`), and the
+constant Ramsey-forced floor (`chi2_vs_goodman`, which calls `chi2`). `chi2` is the one place the
 goodness-of-fit term (o - r)^2 / r is summed. p-values come from a
 self-contained regularized incomplete gamma implementation so the
 package needs no scipy.
 
 Sweeps are plain sequences of fractions of the triangle total, never
 raw counts; the statistic magnitudes only make sense on that scale.
+The red/blue split of one census is no statistic: it is read off the
+census itself (`CliqueCensus.red_share`, `blue_share`, `bias_ratio`).
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
-from typing import NamedTuple, Sequence
+from typing import Sequence
 
 from .bounds import goodman_fraction
-from .census import CliqueCensus
-from .errors import DegenerateReferenceError, InputError, UndefinedBiasError
+from .errors import DegenerateReferenceError, InputError
 
 
 @dataclass(frozen=True)
@@ -165,26 +165,3 @@ def bar_chi2(values: Sequence[float]) -> float:
         raise InputError("need at least one statistic to average")
     return sum(values) / len(values)
 
-
-class BiasSummary(NamedTuple):
-    red_share: Fraction
-    blue_share: Fraction
-    bias_ratio: object  # Fraction, or math.inf when blue is 0
-
-
-def bias_summary(census: CliqueCensus) -> BiasSummary:
-    """Split of the monochromatic triangles between the two colors.
-
-    bias_ratio is red over blue; an all-red census reports an infinite
-    ratio rather than failing, while a census with no monochromatic
-    triangles at all has no defined shares.
-    """
-    if census.mono == 0:
-        raise UndefinedBiasError("no monochromatic triangles; shares are undefined")
-    red, blue = census.red_count, census.blue_count
-    ratio = math.inf if blue == 0 else Fraction(red, blue)
-    return BiasSummary(
-        red_share=Fraction(red, census.mono),
-        blue_share=Fraction(blue, census.mono),
-        bias_ratio=ratio,
-    )

@@ -146,7 +146,7 @@ def test_criterion_05_thomason_constants():
 
 def test_criterion_06_expectation_validation():
     n, samples = 20, 2000
-    analytic = float(expected_mono(n, 3, Fraction(1, 2)).expected_mono)
+    analytic = float(expected_mono(n, 3, Fraction(1, 2)).mono)
     assert analytic == 285.0
     master = random.Random(0)
     counts = [
@@ -161,8 +161,8 @@ def test_criterion_06_expectation_validation():
         t = Fraction(i, 100)
         fwd = expected_mono(n, 3, t)
         rev = expected_mono(n, 3, 1 - t)
-        assert fwd.expected_mono == rev.expected_mono
-        assert fwd.expected_red == rev.expected_blue
+        assert fwd.mono == rev.mono
+        assert fwd.red_count == rev.blue_count
 
 
 def test_criterion_07_census_oracle_equivalence():

@@ -5,6 +5,7 @@ import pytest
 
 import oracles
 import ramseystats as rs
+from ramseystats import Color
 
 
 def test_goodman_min_known_values():
@@ -57,32 +58,57 @@ def test_thomason_bound():
 
 
 def test_expected_mono_exact():
-    curve = rs.expected_mono(20, 3, Fraction(1, 2))
-    assert curve.expected_red == Fraction(285, 2)
-    assert curve.expected_blue == Fraction(285, 2)
-    assert curve.expected_mono == 285
-    assert curve.expected_mono_fraction == Fraction(285, comb(20, 3))
+    c = rs.expected_mono(20, 3, Fraction(1, 2))
+    assert isinstance(c, rs.CliqueCensus)
+    assert (c.n, c.m, c.total) == (20, 3, comb(20, 3))
+    assert c.red_count == Fraction(285, 2)
+    assert c.blue_count == Fraction(285, 2)
+    assert c.mono == 285
+    assert c.mono_fraction == Fraction(285, comb(20, 3))
 
 
 def test_expected_mono_symmetry_exact():
     for i in range(0, 101):
         t = Fraction(i, 100)
-        a = rs.expected_mono(20, 3, t).expected_mono
-        b = rs.expected_mono(20, 3, 1 - t).expected_mono
+        a = rs.expected_mono(20, 3, t).mono
+        b = rs.expected_mono(20, 3, 1 - t).mono
         assert a == b
 
 
 def test_expected_mono_extremes():
     c = rs.expected_mono(10, 3, 0)
-    assert c.expected_red == 0
-    assert c.expected_blue == comb(10, 3)
-    assert rs.expected_mono(10, 3, 1).expected_mono_fraction == 1
+    assert c.red_count == 0
+    assert c.blue_count == comb(10, 3)
+    assert rs.expected_mono(10, 3, 1).mono_fraction == 1
 
 
 def test_expected_mono_higher_orders():
     c = rs.expected_mono(214, 5, Fraction(5, 214))
-    assert c.expected_red == comb(214, 5) * Fraction(5, 214) ** 10
-    assert c.t == Fraction(5, 214)
+    assert c.red_count == comb(214, 5) * Fraction(5, 214) ** 10
+    assert c.total == comb(214, 5)
+
+
+def test_expected_mono_is_the_mean_over_all_colorings():
+    # each coloring weighted by its probability t^red_edges (1-t)^blue_edges
+    ts = [Fraction(0), Fraction(1, 3), Fraction(1, 2), Fraction(5, 7), Fraction(1)]
+    for n in range(3, 6):
+        colorings = list(oracles.enumerate_colorings(n))
+        for m in range(3, n + 1):
+            counts = [
+                (sum(map(sum, oracles.adjacency(c, Color.RED))) // 2,
+                 oracles.clique_count(c, Color.RED, m),
+                 oracles.clique_count(c, Color.BLUE, m))
+                for c in colorings
+            ]
+            for t in ts:
+                weights = [t**red * (1 - t) ** (comb(n, 2) - red) for red, _, _ in counts]
+                assert sum(weights) == 1
+                mean = rs.CliqueCensus(
+                    n, m, comb(n, m),
+                    sum(w * r for w, (_, r, _) in zip(weights, counts)),
+                    sum(w * b for w, (_, _, b) in zip(weights, counts)),
+                )
+                assert rs.expected_mono(n, m, t) == mean
 
 
 def test_expected_mono_validation():

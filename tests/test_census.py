@@ -1,3 +1,4 @@
+import math
 import random
 import sys
 from fractions import Fraction
@@ -157,6 +158,21 @@ def test_transitivity_validation():
         for prop in ("mono_paths2", "completion_ratio"):
             with pytest.raises(rs.InputError, match=message):
                 getattr(c, prop)
+
+
+def test_bias_shares():
+    c = rs.CliqueCensus(n=6, m=3, total=20, red_count=4, blue_count=1)
+    assert c.red_share == Fraction(4, 5)
+    assert c.blue_share == Fraction(1, 5)
+    assert c.bias_ratio == Fraction(4, 1)
+
+    all_red = rs.CliqueCensus(n=6, m=3, total=20, red_count=4, blue_count=0)
+    assert all_red.bias_ratio == math.inf
+
+    none = rs.CliqueCensus(n=6, m=3, total=20, red_count=0, blue_count=0)
+    for prop in ("red_share", "blue_share", "bias_ratio"):
+        with pytest.raises(rs.InputError, match="no monochromatic triangles; shares are undefined"):
+            getattr(none, prop)
 
 
 def test_max_clique_small():

@@ -3,6 +3,7 @@ import json
 import random
 import sys
 import tempfile
+import time
 from collections import Counter
 from fractions import Fraction
 from math import comb, sqrt
@@ -574,6 +575,33 @@ def test_simulate_grid_cap_exit_1(runner, tmp_path, monkeypatch):
     assert result.output == "error: 3 densities x 3 samples exceeds the cap of 6 colorings\n"
 
 
+def test_simulate_pair_cap_exit_1(runner, tmp_path, monkeypatch):
+    def no_pairs(*args):
+        raise AssertionError("built pair masks before checking the cap")
+
+    monkeypatch.setattr(ingest, "pair_incidence", no_pairs)
+    monkeypatch.setattr(ingest, "random_pair_masks", no_pairs)
+    start = time.perf_counter()
+    result = runner.invoke(main, [
+        "simulate", "--n", "5000", "--samples", "1", "--out-dir", str(tmp_path / "out"),
+    ])
+    assert time.perf_counter() - start < 1
+    assert result.exit_code == 1
+    assert result.output == (
+        "error: n=5000 with 21 densities x 1 samples needs 472499231250000 pair bits, "
+        "above the cap of 100000000000\n")
+    assert not (tmp_path / "out").exists()
+    monkeypatch.undo()
+    # inclusive: at n=4, 3 densities x 2 samples need (2 + 2) x 6 x (6 + 3 x 4) = 432
+    monkeypatch.setattr(cli, "MAX_SIMULATED_PAIR_BITS", 432)
+    grid = ["simulate", "--n", "4", "--t-step", "0.5", "--out-dir", str(tmp_path / "out")]
+    run_ok(runner, grid + ["--samples", "2"])
+    result = runner.invoke(main, grid + ["--samples", "3"])
+    assert result.exit_code == 1
+    assert result.output == (
+        "error: n=4 with 3 densities x 3 samples needs 540 pair bits, above the cap of 432\n")
+
+
 def test_simulate_validation(runner, tmp_path):
     assert runner.invoke(main, [
         "simulate", "--n", "6", "--samples", "0", "--out-dir", str(tmp_path),
@@ -586,6 +614,20 @@ def test_simulate_validation(runner, tmp_path):
         assert result.exit_code == 1
         assert isinstance(result.exception, SystemExit)
         assert result.output.startswith("error: ")
+
+
+def test_bounds_row_cap_exit_1(runner, tmp_path, monkeypatch):
+    result = runner.invoke(main, ["bounds", "--n-max", "100000000", "--out-dir", str(tmp_path)])
+    assert result.exit_code == 1
+    assert result.output == (
+        "error: 99999998 rows in n range [3, 100000000] exceed the cap of 10000\n")
+    assert not list(tmp_path.iterdir())
+    # inclusive: n from 3 to 10 is 8 rows
+    monkeypatch.setattr(cli, "MAX_BOUNDS_ROWS", 8)
+    run_ok(runner, ["bounds", "--n-max", "10", "--out-dir", str(tmp_path / "ok")])
+    result = runner.invoke(main, ["bounds", "--n-max", "11", "--out-dir", str(tmp_path / "no")])
+    assert result.exit_code == 1
+    assert result.output == "error: 9 rows in n range [3, 11] exceed the cap of 8\n"
 
 
 def test_bounds_command(runner, tmp_path):

@@ -128,17 +128,3 @@ def test_bar_chi2():
     assert rs.bar_chi2(values[:1]) == values[0]
     with pytest.raises(rs.InputError):
         rs.bar_chi2([])
-
-
-def test_bias_summary():
-    c = rs.CliqueCensus(n=6, m=3, total=20, red_count=4, blue_count=1)
-    b = rs.bias_summary(c)
-    assert b.red_share == Fraction(4, 5)
-    assert b.blue_share == Fraction(1, 5)
-    assert b.bias_ratio == Fraction(4, 1)
-
-    all_red = rs.CliqueCensus(n=6, m=3, total=20, red_count=4, blue_count=0)
-    assert rs.bias_summary(all_red).bias_ratio == math.inf
-
-    with pytest.raises(rs.UndefinedBiasError):
-        rs.bias_summary(rs.CliqueCensus(n=6, m=3, total=20, red_count=0, blue_count=0))
