@@ -49,11 +49,9 @@ from .ingest import (
     parse_trade_flows,
     parse_votes,
     party_indices,
+    random_blue_degrees,
     random_coloring,
-    random_pair_mask,
-    random_pair_masks,
     sweep,
-    threshold_coloring,
 )
 from .stats import (
     Chi2Report,
@@ -102,11 +100,9 @@ __all__ = [
     "party_indices",
     "path_count",
     "per_vertex_triangles",
+    "random_blue_degrees",
     "random_coloring",
-    "random_pair_mask",
-    "random_pair_masks",
     "sweep",
-    "threshold_coloring",
     "thomason_bound",
     "triangle_census",
 ]

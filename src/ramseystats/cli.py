@@ -25,6 +25,7 @@ import sys
 from collections import Counter
 from dataclasses import asdict
 from fractions import Fraction
+from itertools import combinations
 from math import comb, sqrt
 from pathlib import Path
 
@@ -41,12 +42,11 @@ OUT_DIR_ENV = "RAMSEYSTATS_OUT_DIR"
 # Monte Carlo simulate keeps one count per (density, sample) until its
 # rows are summarised, so their number is capped before any draw.
 MAX_SIMULATED_COLORINGS = 1_000_000
-# The pair work grows as n^4 and is capped before pair_incidence: each
-# sample ORs C(n,2) one-bit ints into masks up to C(n,2) bits wide, each
-# density ANDs its mask with n incidence rows as wide, and
-# pair_incidence(n) is built like two samples. On CPython 3.11 the
-# default run (n=20) needs 2.3e8 pair bits and takes 0.7 s; n=700 with
-# one sample at two densities needs 1.8e11 and takes 1.2 s.
+# A second cap bounds the size of the samples before any draw: each
+# sample makes C(n,2) draws and sums n degrees per density, and the
+# product (samples + 2) * C(n,2) * (C(n,2) + densities * n), called pair
+# bits, grows as n^4, so one sample at one density reaches it near
+# n = 600. The default run (n=20) needs 2.3e8 pair bits.
 MAX_SIMULATED_PAIR_BITS = 10**11
 # bounds builds its whole table before writing; rows beyond this many
 # only creep toward the 1/4 limit.
@@ -540,11 +540,19 @@ def cmd_simulate(n, t_min, t_max, t_step, samples, seed, exhaustive, fmt, out_di
         pairs = comb(n, 2)
         if pairs > 21:
             _fail(1, f"refusing to enumerate 2^{pairs} colorings (n={n} too large)")
-        incident = ingest.pair_incidence(n)
-        distribution = Counter(
-            census_lib.mono_triangles(n, [(mask & inc).bit_count() for inc in incident])
-            for mask in range(1 << pairs)
-        )
+        # Gray-code order: step k flips one pair, the lowest set bit of k,
+        # which moves the blue degrees of its two ends by one.
+        ends = list(combinations(range(n), 2))
+        sign = [1] * pairs
+        degrees = [0] * n
+        distribution = Counter([census_lib.mono_triangles(n, degrees)])
+        for k in range(1, 1 << pairs):
+            b = (k & -k).bit_length() - 1
+            i, j = ends[b]
+            degrees[i] += sign[b]
+            degrees[j] += sign[b]
+            sign[b] = -sign[b]
+            distribution[census_lib.mono_triangles(n, degrees)] += 1
         rows = [{"mono": m, "colorings": c} for m, c in sorted(distribution.items())]
         lo, hi = rows[0]["mono"], rows[-1]["mono"]
         doc.update(mode="exhaustive", colorings=2 ** pairs, min_mono=lo, max_mono=hi,
@@ -577,14 +585,12 @@ def cmd_simulate(n, t_min, t_max, t_step, samples, seed, exhaustive, fmt, out_di
                      f"pair bits, above the cap of {MAX_SIMULATED_PAIR_BITS}")
         grid = [lo + k * step for k in range(points)]
         ts = [float(tau) for tau in grid]
-        incident = ingest.pair_incidence(n)
         master = random.Random(seed)
         counts = [[] for _ in grid]
         for _ in range(samples):
-            masks = ingest.random_pair_masks(n, ts, master.getrandbits(63))
-            for at_t, mask in zip(counts, masks):
-                at_t.append(census_lib.mono_triangles(
-                    n, [(mask & inc).bit_count() for inc in incident]))
+            degrees = ingest.random_blue_degrees(n, ts, master.getrandbits(63))
+            for at_t, blue in zip(counts, degrees):
+                at_t.append(census_lib.mono_triangles(n, blue))
         rows = [{
             "t": t,
             "analytic": float(bounds_lib.expected_mono(n, 3, tau).mono),

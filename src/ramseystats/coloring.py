@@ -20,10 +20,6 @@ class Color(Enum):
     RED = "red"
     BLUE = "blue"
 
-    @property
-    def other(self) -> "Color":
-        return Color.BLUE if self is Color.RED else Color.RED
-
 
 def iter_bits(x: int) -> Iterator[int]:
     """Yield the set-bit positions of a nonnegative int, ascending."""
@@ -100,10 +96,6 @@ class TwoColoring:
         for i, row in enumerate(self.blue_rows):
             out.extend((i, i + 1 + j) for j in iter_bits(row >> (i + 1)))
         return tuple(out)
-
-    def label_of(self, v: int) -> str:
-        self._check_vertex(v)
-        return self.labels[v] if self.labels is not None else str(v)
 
     def _check_vertex(self, v: int):
         if not 0 <= v < self.n:

@@ -9,9 +9,9 @@ Three routes in:
     threshold;
   * directed weighted trade flows -> blue edges to each country's top-k
     import and export partners, red elsewhere;
-  * seeded random pair masks, one bit per pair, for simulation
-    baselines (one set of draws read at several densities), and the
-    coloring a mask stands for.
+  * seeded random draws, one per pair, for simulation baselines: the
+    blue degrees at several densities from one set of draws, or the
+    coloring at one density.
 
 Parsing is strict: wrong field counts and unknown tokens fail with the
 offending line number rather than being papered over.
@@ -25,8 +25,8 @@ import random
 from bisect import bisect_right
 from dataclasses import dataclass
 from itertools import accumulate, combinations, pairwise
-from operator import or_
-from typing import Iterable, Sequence
+from operator import add
+from typing import Iterable, Iterator, Sequence
 
 from .census import CliqueCensus, mono_triangles
 from .coloring import TwoColoring, from_blue_edges
@@ -198,21 +198,6 @@ def hamming_matrix(records: Sequence[VoterRecord]) -> DistanceMatrix:
     return DistanceMatrix(d, labels=[r.id for r in records])
 
 
-def threshold_coloring(d: DistanceMatrix, t: int) -> TwoColoring:
-    """Color edges red at distance <= t, blue at distance > t."""
-    if t < 0:
-        raise InputError(f"threshold must be >= 0, got {t}")
-    rows = []
-    for i in range(d.n):
-        di = d.d[i]
-        row = 0
-        for j in range(d.n):
-            if j != i and di[j] > t:
-                row |= 1 << j
-        rows.append(row)
-    return TwoColoring(n=d.n, blue_rows=tuple(rows), labels=d.labels)
-
-
 @dataclass(frozen=True)
 class SweepTable:
     """The (t, census) rows of a sweep over n records, ordered by t."""
@@ -225,8 +210,8 @@ def sweep(d: DistanceMatrix, t_range: tuple[int, int]) -> SweepTable:
     """Census every threshold graph for t in the inclusive range.
 
     Rows come back ordered by t, and each census equals the triangle
-    census of `threshold_coloring(d, t)`. Sweep a subgroup through
-    `d.submatrix(indices)`.
+    census of the threshold coloring at t: red at distance <= t, blue
+    above. Sweep a subgroup through `d.submatrix(indices)`.
 
     The threshold graphs are nested, so the sweep is one pass over the
     pairs in distance order: a pair turning red closes one red triangle
@@ -337,26 +322,7 @@ def build_trade_graph(flows: Sequence[TradeFlow], k: int) -> TwoColoring:
     return from_blue_edges(len(countries), sorted(edges), labels=countries)
 
 
-def random_pair_mask(n: int, t: float, seed: int) -> int:
-    """A random coloring as one integer: each pair blue with probability t.
-
-    Pair b, the b-th pair of combinations(range(n), 2), i.e. the pairs
-    in ascending (i, j) order, sits on bit b and is blue when set.
-    Randomness comes from CPython's Mersenne Twister (random.Random)
-    seeded as given, drawing once per pair in that order; pair b is
-    blue when its draw is < t, so a seed pins the exact coloring on
-    every platform. This is random_pair_masks(n, [t], seed)[0].
-    """
-    return random_pair_masks(n, [t], seed)[0]
-
-
-def random_pair_masks(n: int, ts: Sequence[float], seed: int) -> list[int]:
-    """random_pair_mask(n, t, seed) for each t of the ascending ts.
-
-    The masks share one set of draws, so they are nested: a pair blue
-    at t is blue at every larger t. Each draw sets its pair's bit once,
-    at the first t above it; the masks are the running ORs of those.
-    """
+def _check_densities(n: int, ts: Sequence[float]) -> None:
     if n < 1:
         raise InputError(f"vertex count must be >= 1, got {n}")
     for t in ts:
@@ -364,29 +330,42 @@ def random_pair_masks(n: int, ts: Sequence[float], seed: int) -> list[int]:
             raise InputError(f"blue probability must be in [0, 1], got {t}")
     if any(a > b for a, b in pairwise(ts)):
         raise InputError("blue probabilities must be in ascending order")
-    r = random.Random(seed).random
-    turns_blue = [0] * (len(ts) + 1)  # the last entry: blue at no t
-    for b in range(math.comb(n, 2)):
-        turns_blue[bisect_right(ts, r())] |= 1 << b
-    return list(accumulate(turns_blue[:-1], or_))
 
 
-def pair_incidence(n: int) -> list[int]:
-    """Per vertex, the bits of a pair mask (see random_pair_mask) it is in.
+def _pair_draws(n: int, seed: int) -> Iterator[tuple[tuple[int, int], float]]:
+    """Each pair of K_n with its draw, pairs in combinations(range(n), 2)
+    order, i.e. ascending (i, j).
 
-    Entry v has bit b set when v is in pair b, so v's blue degree in
-    the coloring of a mask is (mask & pair_incidence(n)[v]).bit_count().
+    Randomness comes from CPython's Mersenne Twister (random.Random)
+    seeded as given, drawing once per pair in that order, so a seed pins
+    every draw on every platform. A pair is blue at density t when its
+    draw is < t.
     """
-    incident = [0] * n
-    for b, (i, j) in enumerate(combinations(range(n), 2)):
-        incident[i] |= 1 << b
-        incident[j] |= 1 << b
-    return incident
+    r = random.Random(seed).random
+    for pair in combinations(range(n), 2):
+        yield pair, r()
+
+
+def random_blue_degrees(n: int, ts: Sequence[float], seed: int) -> list[list[int]]:
+    """The blue degrees of random_coloring(n, t, seed) for each t of the
+    ascending ts.
+
+    The colorings share one set of draws, so they are nested: a pair
+    blue at t is blue at every larger t. Each draw adds its pair to the
+    degree row of the first t above it; the degrees are the running sums
+    of those rows.
+    """
+    _check_densities(n, ts)
+    turns_blue = [[0] * n for _ in range(len(ts) + 1)]  # the last row: blue at no t
+    for (i, j), draw in _pair_draws(n, seed):
+        row = turns_blue[bisect_right(ts, draw)]
+        row[i] += 1
+        row[j] += 1
+    return list(accumulate(turns_blue[:-1], lambda a, b: list(map(add, a, b))))
 
 
 def random_coloring(n: int, t: float, seed: int) -> TwoColoring:
-    """The coloring of random_pair_mask(n, t, seed): same seed, same pairs."""
-    mask = random_pair_mask(n, t, seed)
-    return from_blue_edges(
-        n, (p for b, p in enumerate(combinations(range(n), 2)) if mask >> b & 1)
-    )
+    """A random coloring of K_n, each pair blue with probability t, drawn
+    as _pair_draws describes: same seed, same pairs."""
+    _check_densities(n, [t])
+    return from_blue_edges(n, (pair for pair, draw in _pair_draws(n, seed) if draw < t))

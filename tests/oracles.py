@@ -9,7 +9,7 @@ small n.
 import random
 from itertools import combinations
 
-from ramseystats import Color, InputError, TwoColoring
+from ramseystats import Color, InputError, TwoColoring, from_blue_edges
 
 
 def adjacency(coloring, color):
@@ -38,9 +38,22 @@ def pair_draws(n, seed):
     return [r.random() for _ in combinations(range(n), 2)]
 
 
-def pair_mask(n, t, seed):
-    """Bit b set iff pair b's draw is below t."""
-    return sum(1 << b for b, x in enumerate(pair_draws(n, seed)) if x < t)
+def blue_degrees(n, t, seed):
+    """Per vertex, the pairs at it whose draw is below t."""
+    degrees = [0] * n
+    for (i, j), x in zip(combinations(range(n), 2), pair_draws(n, seed)):
+        if x < t:
+            degrees[i] += 1
+            degrees[j] += 1
+    return degrees
+
+
+def threshold_coloring(d, t):
+    """The sweep's coloring at threshold t: red at distance <= t, blue above."""
+    if t < 0:
+        raise InputError(f"threshold must be >= 0, got {t}")
+    blue = [(i, j) for i, j in combinations(range(d.n), 2) if d.d[i][j] > t]
+    return from_blue_edges(d.n, blue, labels=d.labels)
 
 
 def per_vertex_triangles(coloring, color):

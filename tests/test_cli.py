@@ -557,7 +557,7 @@ def test_simulate_grid_cap_exit_1(runner, tmp_path, monkeypatch):
     def no_draws(*args):
         raise AssertionError("drew before checking the cap")
 
-    monkeypatch.setattr(ingest, "random_pair_masks", no_draws)
+    monkeypatch.setattr(ingest, "random_blue_degrees", no_draws)
     result = runner.invoke(main, [
         "simulate", "--t-step", "1e-12", "--samples", "1", "--out-dir", str(tmp_path / "out"),
     ])
@@ -576,11 +576,10 @@ def test_simulate_grid_cap_exit_1(runner, tmp_path, monkeypatch):
 
 
 def test_simulate_pair_cap_exit_1(runner, tmp_path, monkeypatch):
-    def no_pairs(*args):
-        raise AssertionError("built pair masks before checking the cap")
+    def no_draws(*args):
+        raise AssertionError("drew before checking the cap")
 
-    monkeypatch.setattr(ingest, "pair_incidence", no_pairs)
-    monkeypatch.setattr(ingest, "random_pair_masks", no_pairs)
+    monkeypatch.setattr(ingest, "random_blue_degrees", no_draws)
     start = time.perf_counter()
     result = runner.invoke(main, [
         "simulate", "--n", "5000", "--samples", "1", "--out-dir", str(tmp_path / "out"),

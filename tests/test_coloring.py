@@ -33,9 +33,8 @@ def test_blue_edges_roundtrip():
 
 def test_labels():
     c = rs.from_blue_edges(2, [(0, 1)], labels=["x", "y"])
-    assert c.label_of(0) == "x"
-    unlabeled = rs.from_blue_edges(2, [(0, 1)])
-    assert unlabeled.label_of(1) == "1"
+    assert c.labels == ("x", "y")
+    assert rs.from_blue_edges(2, [(0, 1)]).labels is None
 
 
 def test_construction_validation():
@@ -55,11 +54,6 @@ def test_construction_validation():
         rs.from_blue_edges(3, [(1, 1)])
     with pytest.raises(rs.InputError):
         rs.TwoColoring(2, (0b10, 0b01), labels=("only",))
-
-
-def test_color_other():
-    assert Color.RED.other is Color.BLUE
-    assert Color.BLUE.other is Color.RED
 
 
 def test_path_count_star():

@@ -1,6 +1,5 @@
 import time
 from fractions import Fraction
-from itertools import combinations
 
 import pytest
 from hypothesis import example, given, settings
@@ -213,7 +212,7 @@ def test_submatrix(sample_matrix):
 
 
 def test_threshold_coloring_strict(sample_matrix):
-    c = rs.threshold_coloring(sample_matrix, 5)
+    c = oracles.threshold_coloring(sample_matrix, 5)
     # d(v2, v6) = 5 stays red under the strict rule
     assert c.has_edge(1, 5, Color.RED)
     assert c.has_edge(1, 4, Color.BLUE)  # d = 7
@@ -222,18 +221,18 @@ def test_threshold_coloring_strict(sample_matrix):
     }
     assert set(c.blue_edges()) == expected_blue
     with pytest.raises(rs.InputError):
-        rs.threshold_coloring(sample_matrix, -1)
+        oracles.threshold_coloring(sample_matrix, -1)
 
 
 def test_threshold_coloring_extremes(sample_matrix):
-    assert rs.threshold_coloring(sample_matrix, 0).blue_edge_count == 15
-    assert rs.threshold_coloring(sample_matrix, 7).blue_edge_count == 0
+    assert oracles.threshold_coloring(sample_matrix, 0).blue_edge_count == 15
+    assert oracles.threshold_coloring(sample_matrix, 7).blue_edge_count == 0
 
 
 def test_threshold_monotone(sample_matrix):
     prev = None
     for t in range(0, 8):
-        cur = rs.threshold_coloring(sample_matrix, t)
+        cur = oracles.threshold_coloring(sample_matrix, t)
         if prev is not None:
             for i in range(6):
                 # blue can only shrink as t grows
@@ -256,7 +255,7 @@ def test_sweep_six_voters(sample_matrix):
 
 def test_sweep_single_point_equals_direct_census(sample_matrix):
     table = rs.sweep(sample_matrix, (5, 5))
-    direct = rs.triangle_census(rs.threshold_coloring(sample_matrix, 5))
+    direct = rs.triangle_census(oracles.threshold_coloring(sample_matrix, 5))
     assert table.rows == ((5, direct),)
 
 
@@ -311,7 +310,7 @@ def test_sweep_matches_per_threshold_census(case):
     assert table.n == sub.n
     assert [t for t, _ in table.rows] == list(range(t_min, t_max + 1))
     for t, census in table.rows:
-        assert census == rs.triangle_census(rs.threshold_coloring(sub, t))
+        assert census == rs.triangle_census(oracles.threshold_coloring(sub, t))
 
 
 def test_sweep_error_messages(sample_matrix):
@@ -344,7 +343,6 @@ def test_sweep_far_past_the_largest_distance(sample_matrix):
 def test_sweep_builds_no_coloring(monkeypatch, sample_matrix):
     def refuse(*args, **kwargs):
         raise AssertionError("sweep built a coloring")
-    monkeypatch.setattr(ingest, "threshold_coloring", refuse)
     monkeypatch.setattr(ingest, "TwoColoring", refuse)
     assert len(rs.sweep(sample_matrix, (0, 8)).rows) == 9
 
@@ -466,37 +464,22 @@ def test_random_coloring_extremes():
 
 
 def test_random_stream_regression():
-    # recorded before random_coloring was built on random_pair_mask
+    # recorded before random_coloring was built on one draw per pair
     want = ((1, 2), (1, 6), (2, 3), (2, 4), (3, 4), (5, 6))
     assert rs.random_coloring(7, 0.4, seed=11).blue_edges() == want
-    assert rs.random_pair_mask(7, 0.4, seed=11) == 0b100001001110001000000
+    assert rs.random_blue_degrees(7, [0.4], seed=11) == [[0, 2, 3, 2, 2, 1, 2]]
 
 
-@settings(deadline=None)
-@given(
-    n=st.integers(1, 12),
-    t=st.one_of(st.sampled_from([0.0, 1.0, 0.5]), st.floats(0, 1)),
-    seed=st.integers(0, 2**63 - 1),
-)
-def test_random_pair_mask_is_random_coloring(n, t, seed):
-    mask = rs.random_pair_mask(n, t, seed)
-    pairs = list(combinations(range(n), 2))
-    assert mask >> len(pairs) == 0
-    blue = tuple(p for b, p in enumerate(pairs) if mask >> b & 1)
-    assert blue == rs.random_coloring(n, t, seed).blue_edges()
-
-
-def test_random_pair_mask_validation():
-    assert rs.random_pair_mask(1, 0.5, seed=1) == 0
-    assert rs.random_pair_mask(6, 1.0, seed=1) == 2**15 - 1
+def test_random_blue_degrees_validation():
+    assert rs.random_blue_degrees(1, [0.5], seed=1) == [[0]]
+    assert rs.random_blue_degrees(6, [1.0], seed=1) == [[5] * 6]
+    assert rs.random_blue_degrees(6, [], seed=1) == []
     with pytest.raises(rs.InputError):
-        rs.random_pair_mask(0, 0.5, seed=1)
-    with pytest.raises(rs.InputError):
-        rs.random_pair_mask(5, -0.1, seed=1)
+        rs.random_coloring(5, -0.1, seed=1)
     for n, ts in [(0, [0.5]), (5, [0.2, 1.5]), (5, [-0.1, 0.2]), (5, [float("nan")]),
                   (5, [0.5, 0.4]), (5, [0.0, 1.0, 0.5])]:
         with pytest.raises(rs.InputError):
-            rs.random_pair_masks(n, ts, seed=1)
+            rs.random_blue_degrees(n, ts, seed=1)
 
 
 @settings(deadline=None)
@@ -507,11 +490,13 @@ def test_random_pair_mask_validation():
     repeats=st.integers(0, 3),
     tie=st.integers(0, 299),
 )
-def test_random_pair_masks_are_random_pair_mask(n, seed, ts, repeats, tie):
+def test_random_blue_degrees_are_random_coloring(n, seed, ts, repeats, tie):
     draws = oracles.pair_draws(n, seed)
     if draws:
         ts.append(draws[tie % len(draws)])  # a tie: that pair is not yet blue
     ts = sorted(ts + [0.0, 1.0] + ts[:repeats])
-    masks = rs.random_pair_masks(n, ts, seed)
-    assert masks == [rs.random_pair_mask(n, t, seed) for t in ts]
-    assert masks == [oracles.pair_mask(n, t, seed) for t in ts]
+    degrees = rs.random_blue_degrees(n, ts, seed)
+    assert degrees == [oracles.blue_degrees(n, t, seed) for t in ts]
+    for t, blue in zip(ts, degrees):
+        coloring = rs.random_coloring(n, t, seed)
+        assert blue == [coloring.degree(v, Color.BLUE) for v in range(n)]
