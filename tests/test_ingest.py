@@ -484,6 +484,19 @@ def test_random_blue_degrees_validation():
 
 @settings(deadline=None)
 @given(
+    n=st.integers(1, 12),
+    t=st.one_of(st.sampled_from([0.0, 1.0, 0.5]), st.floats(0, 1)),
+    seed=st.integers(0, 2**63 - 1),
+)
+def test_random_blue_degrees_one_t_is_random_coloring(n, t, seed):
+    [blue] = rs.random_blue_degrees(n, [t], seed)
+    coloring = rs.random_coloring(n, t, seed)
+    assert blue == [coloring.degree(v, Color.BLUE) for v in range(n)]
+    assert sum(blue) == 2 * coloring.blue_edge_count
+
+
+@settings(deadline=None)
+@given(
     n=st.integers(1, 25),
     seed=st.integers(0, 2**63 - 1),
     ts=st.lists(st.one_of(st.sampled_from([0.0, 1.0]), st.floats(0, 1)), max_size=6),
