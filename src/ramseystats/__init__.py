@@ -21,6 +21,7 @@ from .census import (
     MaxCliqueResult,
     clique_census,
     max_clique,
+    mono_distribution,
     mono_triangles,
     neighborhood_density,
     per_vertex_triangles,
@@ -92,6 +93,7 @@ __all__ = [
     "goodman_min",
     "hamming_matrix",
     "max_clique",
+    "mono_distribution",
     "mono_triangles",
     "neighborhood_density",
     "p_value",

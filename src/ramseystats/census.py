@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import math
 import sys
+from collections import Counter, defaultdict
 from contextlib import suppress
 from dataclasses import dataclass
 from fractions import Fraction
@@ -188,9 +189,37 @@ def mono_triangles(n: int, degrees: Iterable[int]) -> int:
     not monochromatic holds two such pairs, a monochromatic one none.
     Holds for any n >= 1.
     """
+    return _goodman(n, sum(d * (n - 1 - d) for d in degrees))
+
+
+def _goodman(n: int, discordant: int) -> int:
+    """C(n,3) less half the discordant edge pairs sum_v d_v (n-1-d_v)."""
     if n < 1:
         raise InputError(f"vertex count must be >= 1, got {n}")
-    return comb(n, 3) - sum(d * (n - 1 - d) for d in degrees) // 2
+    return comb(n, 3) - discordant // 2
+
+
+def mono_distribution(n: int) -> dict[int, int]:
+    """All 2^C(n,2) colorings of K_n counted by monochromatic triangles,
+    ascending, by degree sequence (mono_triangles). Settling a vertex
+    colors its pairs to the unsettled ones, which fixes its degree. Those
+    are exchangeable: a state is their sorted partial degrees, and k of
+    c equal ones gain a pair to the settled vertex in C(c,k) ways.
+    """
+    states = {(0,) * n: Counter({0: 1})}  # partial degrees: {discordant pairs: colorings}
+    for _ in range(n):
+        settled = defaultdict(Counter)
+        for partial, discords in states.items():
+            options = [((), partial[0], 1)]  # (unsettled degrees, degree, ways)
+            for v, c in sorted(Counter(partial[1:]).items()):
+                options = [(left + (v,) * (c - k) + (v + 1,) * k, d + k, ways * comb(c, k))
+                           for left, d, ways in options for k in range(c + 1)]
+            for left, d, ways in options:
+                into = settled[left]
+                for discordant, count in discords.items():
+                    into[discordant + d * (n - 1 - d)] += count * ways
+        states = settled
+    return {_goodman(n, s): count for s, count in sorted(states[()].items(), reverse=True)}
 
 
 def per_vertex_triangles(coloring: TwoColoring, color: Color) -> list[int]:

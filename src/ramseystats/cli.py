@@ -22,10 +22,8 @@ import contextlib
 import random
 import statistics
 import sys
-from collections import Counter
 from dataclasses import asdict
 from fractions import Fraction
-from itertools import combinations
 from math import comb, sqrt
 from pathlib import Path
 
@@ -42,12 +40,11 @@ OUT_DIR_ENV = "RAMSEYSTATS_OUT_DIR"
 # Monte Carlo simulate keeps one count per (density, sample) until its
 # rows are summarised, so their number is capped before any draw.
 MAX_SIMULATED_COLORINGS = 1_000_000
-# A second cap bounds the size of the samples before any draw: each
-# sample makes C(n,2) draws and sums n degrees per density, and the
-# product (samples + 2) * C(n,2) * (C(n,2) + densities * n), called pair
-# bits, grows as n^4, so one sample at one density reaches it near
-# n = 600. The default run (n=20) needs 2.3e8 pair bits.
-MAX_SIMULATED_PAIR_BITS = 10**11
+# Each sample makes C(n,2) draws and sums n degrees per density. At this
+# many a run takes 7-10 s (2 cores, CPython 3.11), as does n=20's largest grid.
+MAX_SIMULATED_WORK = 3 * 10**7
+# simulate --exhaustive takes about 0.2 s at n=11 and 3.5 times more per n.
+MAX_EXHAUSTIVE_N = 11
 # bounds builds its whole table before writing; rows beyond this many
 # only creep toward the 1/4 limit.
 MAX_BOUNDS_ROWS = 10_000
@@ -537,28 +534,15 @@ def cmd_simulate(n, t_min, t_max, t_step, samples, seed, exhaustive, fmt, out_di
     doc = {"command": "simulate", "n": n, "goodman_floor": floor}
     stem = "simulate_exhaustive" if exhaustive else "simulate"
     if exhaustive:
-        pairs = comb(n, 2)
-        if pairs > 21:
-            _fail(1, f"refusing to enumerate 2^{pairs} colorings (n={n} too large)")
-        # Gray-code order: step k flips one pair, the lowest set bit of k,
-        # which moves the blue degrees of its two ends by one.
-        ends = list(combinations(range(n), 2))
-        sign = [1] * pairs
-        degrees = [0] * n
-        distribution = Counter([census_lib.mono_triangles(n, degrees)])
-        for k in range(1, 1 << pairs):
-            b = (k & -k).bit_length() - 1
-            i, j = ends[b]
-            degrees[i] += sign[b]
-            degrees[j] += sign[b]
-            sign[b] = -sign[b]
-            distribution[census_lib.mono_triangles(n, degrees)] += 1
-        rows = [{"mono": m, "colorings": c} for m, c in sorted(distribution.items())]
+        if n > MAX_EXHAUSTIVE_N:
+            _fail(1, f"exhaustive n={n} exceeds the cap of {MAX_EXHAUSTIVE_N}")
+        rows = [{"mono": m, "colorings": c} for m, c in census_lib.mono_distribution(n).items()]
         lo, hi = rows[0]["mono"], rows[-1]["mono"]
-        doc.update(mode="exhaustive", colorings=2 ** pairs, min_mono=lo, max_mono=hi,
+        colorings = 2 ** comb(n, 2)
+        doc.update(mode="exhaustive", colorings=colorings, min_mono=lo, max_mono=hi,
                    distribution=rows)
         click.echo(
-            f"exhaustive n={n}: {2 ** pairs} colorings, "
+            f"exhaustive n={n}: {colorings} colorings, "
             f"mono range [{lo}, {hi}], goodman floor {floor}"
         )
     else:
@@ -578,11 +562,10 @@ def cmd_simulate(n, t_min, t_max, t_step, samples, seed, exhaustive, fmt, out_di
         if points * samples > MAX_SIMULATED_COLORINGS:
             _fail(1, f"{points} densities x {samples} samples exceeds the cap of "
                      f"{MAX_SIMULATED_COLORINGS} colorings")
-        pairs = comb(n, 2)
-        work = (samples + 2) * pairs * (pairs + points * n)
-        if work > MAX_SIMULATED_PAIR_BITS:
+        work = samples * (comb(n, 2) + points * n)
+        if work > MAX_SIMULATED_WORK:
             _fail(1, f"n={n} with {points} densities x {samples} samples needs {work} "
-                     f"pair bits, above the cap of {MAX_SIMULATED_PAIR_BITS}")
+                     f"draws and sums, above the cap of {MAX_SIMULATED_WORK}")
         grid = [lo + k * step for k in range(points)]
         ts = [float(tau) for tau in grid]
         master = random.Random(seed)

@@ -123,6 +123,29 @@ def test_mono_triangles_extremes():
         rs.mono_triangles(0, [])
 
 
+@pytest.mark.parametrize("n", range(1, 12))
+def test_mono_distribution_moments(n):
+    dist = rs.mono_distribution(n)
+    total = 2 ** comb(n, 2)
+    assert list(dist) == sorted(dist)
+    assert sum(dist.values()) == total
+    assert min(dist) == rs.goodman_min(n)
+    # only the all-red and all-blue colorings make every triangle monochromatic
+    assert max(dist) == comb(n, 3)
+    assert dist[comb(n, 3)] == (1 if n == 1 else 2)
+    mean = rs.expected_mono(n, 3, Fraction(1, 2)).mono if n >= 3 else 0
+    assert Fraction(sum(m * c for m, c in dist.items()), total) == mean
+    # at t = 1/2 two triangles sharing an edge are uncorrelated:
+    # 2^-5 + 2^-5 - (1/4)^2 = 0, so only each triangle's own 3/16 remains
+    variance = Fraction(sum(c * (m - mean) ** 2 for m, c in dist.items()), total)
+    assert variance == Fraction(3 * comb(n, 3), 16)
+
+
+def test_mono_distribution_validation():
+    with pytest.raises(rs.InputError):
+        rs.mono_distribution(0)
+
+
 def test_per_vertex_triangles():
     all_blue = rs.TwoColoring(4, tuple(0b1111 & ~(1 << i) for i in range(4)))
     assert rs.per_vertex_triangles(all_blue, Color.BLUE) == [3, 3, 3, 3]

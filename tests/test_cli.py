@@ -582,23 +582,46 @@ def test_simulate_pair_cap_exit_1(runner, tmp_path, monkeypatch):
     monkeypatch.setattr(ingest, "random_blue_degrees", no_draws)
     start = time.perf_counter()
     result = runner.invoke(main, [
-        "simulate", "--n", "5000", "--samples", "1", "--out-dir", str(tmp_path / "out"),
+        "simulate", "--n", "10000", "--samples", "1", "--out-dir", str(tmp_path / "out"),
     ])
     assert time.perf_counter() - start < 1
     assert result.exit_code == 1
     assert result.output == (
-        "error: n=5000 with 21 densities x 1 samples needs 472499231250000 pair bits, "
-        "above the cap of 100000000000\n")
+        "error: n=10000 with 21 densities x 1 samples needs 50205000 draws and sums, "
+        "above the cap of 30000000\n")
     assert not (tmp_path / "out").exists()
     monkeypatch.undo()
-    # inclusive: at n=4, 3 densities x 2 samples need (2 + 2) x 6 x (6 + 3 x 4) = 432
-    monkeypatch.setattr(cli, "MAX_SIMULATED_PAIR_BITS", 432)
+    # one sample at n=700 is 244650 draws and 1400 sums
+    run_ok(runner, ["simulate", "--n", "700", "--samples", "1", "--t-step", "1",
+                    "--out-dir", str(tmp_path / "out")])
+    # inclusive: at n=4, 3 densities x 2 samples need 2 x (6 + 3 x 4) = 36
+    monkeypatch.setattr(cli, "MAX_SIMULATED_WORK", 36)
     grid = ["simulate", "--n", "4", "--t-step", "0.5", "--out-dir", str(tmp_path / "out")]
     run_ok(runner, grid + ["--samples", "2"])
     result = runner.invoke(main, grid + ["--samples", "3"])
     assert result.exit_code == 1
     assert result.output == (
-        "error: n=4 with 3 densities x 3 samples needs 540 pair bits, above the cap of 432\n")
+        "error: n=4 with 3 densities x 3 samples needs 54 draws and sums, above the cap of 36\n")
+
+
+def test_simulate_exhaustive_cap_exit_1(runner, tmp_path, monkeypatch):
+    def no_count(n):
+        raise AssertionError("counted before checking the cap")
+
+    monkeypatch.setattr(census, "mono_distribution", no_count)
+    for n in ("12", "30"):
+        result = runner.invoke(main, [
+            "simulate", "--exhaustive", "--n", n, "--out-dir", str(tmp_path / "out"),
+        ])
+        assert result.exit_code == 1
+        assert result.output == f"error: exhaustive n={n} exceeds the cap of 11\n"
+        assert not (tmp_path / "out").exists()
+    monkeypatch.undo()
+    # inclusive: a cap of 4 takes n=4 and refuses n=5
+    monkeypatch.setattr(cli, "MAX_EXHAUSTIVE_N", 4)
+    exhaustive = ["simulate", "--exhaustive", "--out-dir", str(tmp_path / "out")]
+    run_ok(runner, exhaustive + ["--n", "4"])
+    assert runner.invoke(main, exhaustive + ["--n", "5"]).exit_code == 1
 
 
 def test_simulate_validation(runner, tmp_path):
