@@ -83,9 +83,9 @@ def expected_mono(n: int, m: int, t) -> CliqueCensus:
         raise InputError(f"clique order must be >= 3, got {m}")
     if n < m:
         raise InputError(f"need n >= m, got n={n}, m={m}")
-    t = Fraction(t)
     if not 0 <= t <= 1:
         raise InputError(f"probability t must be in [0, 1], got {float(t)}")
+    t = Fraction(t)
     pairs = comb(m, 2)
     total = comb(n, m)
     return CliqueCensus(

@@ -37,12 +37,11 @@ from .coloring import Color
 from .errors import InputError, ParseError, UndefinedDensityError
 
 OUT_DIR_ENV = "RAMSEYSTATS_OUT_DIR"
-# Monte Carlo simulate keeps one count per (density, sample) until its
-# rows are summarised, so their number is capped before any draw.
-MAX_SIMULATED_COLORINGS = 1_000_000
-# Each sample makes C(n,2) draws and sums n degrees per density. At this
-# many a run takes 7-10 s (2 cores, CPython 3.11), as does n=20's largest grid.
-MAX_SIMULATED_WORK = 3 * 10**7
+# Monte Carlo simulate's work in units of one draw on the default grid (0.37-0.49
+# us, 2 cores, CPython 3.11.7): a sample costs C(n,2) + 26, each of its counts
+# n + 3, and each density's row 1000 for the ~2 KB it holds until written.
+# Fitted to CLI runs at the cap's corners: each takes 1-9 s and at most 57 MB.
+MAX_SIMULATED_WORK = 16_000_000
 # simulate --exhaustive takes about 0.2 s at n=11 and 3.5 times more per n.
 MAX_EXHAUSTIVE_N = 11
 # bounds builds its whole table before writing; rows beyond this many
@@ -559,13 +558,10 @@ def cmd_simulate(n, t_min, t_max, t_step, samples, seed, exhaustive, fmt, out_di
         if not (0 <= lo <= hi <= 1):
             _fail(1, "need 0 <= t-min <= t-max <= 1")
         points = (hi - lo) // step + 1
-        if points * samples > MAX_SIMULATED_COLORINGS:
-            _fail(1, f"{points} densities x {samples} samples exceeds the cap of "
-                     f"{MAX_SIMULATED_COLORINGS} colorings")
-        work = samples * (comb(n, 2) + points * n)
+        work = samples * (comb(n, 2) + 26 + points * (n + 3)) + points * 1000
         if work > MAX_SIMULATED_WORK:
             _fail(1, f"n={n} with {points} densities x {samples} samples needs {work} "
-                     f"draws and sums, above the cap of {MAX_SIMULATED_WORK}")
+                     f"units of work, above the cap of {MAX_SIMULATED_WORK}")
         grid = [lo + k * step for k in range(points)]
         ts = [float(tau) for tau in grid]
         master = random.Random(seed)

@@ -68,15 +68,14 @@ class TwoColoring:
         )
 
     def rows(self, color: Color) -> tuple[int, ...]:
+        if not isinstance(color, Color):
+            raise InputError(f"color must be a Color, got {color!r}")
         return self.blue_rows if color is Color.BLUE else self.red_rows
 
     def has_edge(self, i: int, j: int, color: Color) -> bool:
         self._check_vertex(i)
         self._check_vertex(j)
-        if i == j:
-            return False
-        blue = bool(self.blue_rows[i] >> j & 1)
-        return blue if color is Color.BLUE else not blue
+        return bool(self.rows(color)[i] >> j & 1)
 
     def degree(self, v: int, color: Color) -> int:
         self._check_vertex(v)

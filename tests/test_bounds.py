@@ -118,5 +118,6 @@ def test_expected_mono_validation():
         rs.expected_mono(2, 3, 0.5)
     with pytest.raises(rs.InputError):
         rs.expected_mono(10, 3, 1.5)
-    with pytest.raises(rs.InputError):
-        rs.expected_mono(10, 3, -0.1)
+    for t in (-0.1, float("inf"), float("-inf"), float("nan")):
+        with pytest.raises(rs.InputError):
+            rs.expected_mono(10, 3, t)

@@ -553,55 +553,43 @@ def test_simulate_exhaustive_rejects_sampling_options(runner, tmp_path, extra):
     assert not (tmp_path / "out").exists()
 
 
-def test_simulate_grid_cap_exit_1(runner, tmp_path, monkeypatch):
-    def no_draws(*args):
-        raise AssertionError("drew before checking the cap")
-
-    monkeypatch.setattr(ingest, "random_blue_degrees", no_draws)
-    result = runner.invoke(main, [
-        "simulate", "--t-step", "1e-12", "--samples", "1", "--out-dir", str(tmp_path / "out"),
-    ])
-    assert result.exit_code == 1
-    assert result.output == (
-        "error: 1000000000001 densities x 1 samples exceeds the cap of 1000000 colorings\n")
-    assert not (tmp_path / "out").exists()
-    monkeypatch.undo()
-    # the cap is on densities x samples, inclusive: 3 x 2 passes a cap of 6, 3 x 3 does not
-    monkeypatch.setattr(cli, "MAX_SIMULATED_COLORINGS", 6)
-    grid = ["simulate", "--n", "4", "--t-step", "0.5", "--out-dir", str(tmp_path / "out")]
-    run_ok(runner, grid + ["--samples", "2"])
-    result = runner.invoke(main, grid + ["--samples", "3"])
-    assert result.exit_code == 1
-    assert result.output == "error: 3 densities x 3 samples exceeds the cap of 6 colorings\n"
-
-
-def test_simulate_pair_cap_exit_1(runner, tmp_path, monkeypatch):
+@pytest.mark.parametrize("args, message", [
+    (["--t-step", "1e-12", "--samples", "1"],
+     "n=20 with 1000000000001 densities x 1 samples needs 1023000000001239 units of work"),
+    (["--n", "10000", "--samples", "1"],
+     "n=10000 with 21 densities x 1 samples needs 50226089 units of work"),
+    # the per-sample cost bounds small-n grids: 10^6 samples of one density
+    (["--n", "3", "--t-min", "0.5", "--t-max", "0.5", "--samples", "1000000"],
+     "n=3 with 1 densities x 1000000 samples needs 35001000 units of work"),
+    (["--n", "7", "--t-min", "0.5", "--t-max", "0.5", "--samples", "1000000"],
+     "n=7 with 1 densities x 1000000 samples needs 57001000 units of work"),
+], ids=["t-step", "n", "n3-samples", "n7-samples"])
+def test_simulate_work_cap_exit_1(runner, tmp_path, monkeypatch, args, message):
     def no_draws(*args):
         raise AssertionError("drew before checking the cap")
 
     monkeypatch.setattr(ingest, "random_blue_degrees", no_draws)
     start = time.perf_counter()
-    result = runner.invoke(main, [
-        "simulate", "--n", "10000", "--samples", "1", "--out-dir", str(tmp_path / "out"),
-    ])
+    result = runner.invoke(main, ["simulate", *args, "--out-dir", str(tmp_path / "out")])
     assert time.perf_counter() - start < 1
     assert result.exit_code == 1
-    assert result.output == (
-        "error: n=10000 with 21 densities x 1 samples needs 50205000 draws and sums, "
-        "above the cap of 30000000\n")
+    assert result.output == f"error: {message}, above the cap of 16000000\n"
     assert not (tmp_path / "out").exists()
-    monkeypatch.undo()
-    # one sample at n=700 is 244650 draws and 1400 sums
+
+
+def test_simulate_work_cap_inclusive(runner, tmp_path, monkeypatch):
+    # one sample at n=700 is 244650 draws
     run_ok(runner, ["simulate", "--n", "700", "--samples", "1", "--t-step", "1",
                     "--out-dir", str(tmp_path / "out")])
-    # inclusive: at n=4, 3 densities x 2 samples need 2 x (6 + 3 x 4) = 36
-    monkeypatch.setattr(cli, "MAX_SIMULATED_WORK", 36)
+    # at n=4, 3 densities x 2 samples need 2 x (6 + 26 + 3 x (4 + 3)) + 3 x 1000 = 3106
+    monkeypatch.setattr(cli, "MAX_SIMULATED_WORK", 3106)
     grid = ["simulate", "--n", "4", "--t-step", "0.5", "--out-dir", str(tmp_path / "out")]
     run_ok(runner, grid + ["--samples", "2"])
     result = runner.invoke(main, grid + ["--samples", "3"])
     assert result.exit_code == 1
     assert result.output == (
-        "error: n=4 with 3 densities x 3 samples needs 54 draws and sums, above the cap of 36\n")
+        "error: n=4 with 3 densities x 3 samples needs 3159 units of work, "
+        "above the cap of 3106\n")
 
 
 def test_simulate_exhaustive_cap_exit_1(runner, tmp_path, monkeypatch):

@@ -19,6 +19,7 @@ def test_has_edge_and_degree():
     assert not c.has_edge(0, 1, Color.RED)
     assert c.has_edge(3, 4, Color.RED)
     assert not c.has_edge(2, 2, Color.BLUE)
+    assert not c.has_edge(2, 2, Color.RED)
     assert c.degree(0, Color.BLUE) == 2
     assert c.degree(0, Color.RED) == 2
     assert c.blue_edge_count == 2
@@ -54,6 +55,24 @@ def test_construction_validation():
         rs.from_blue_edges(3, [(1, 1)])
     with pytest.raises(rs.InputError):
         rs.TwoColoring(2, (0b10, 0b01), labels=("only",))
+
+
+@pytest.mark.parametrize("call", [
+    lambda c, color: c.rows(color),
+    lambda c, color: c.has_edge(0, 1, color),
+    lambda c, color: c.degree(0, color),
+    lambda c, color: rs.path_count(c, color, 1, 0, 1),
+    lambda c, color: rs.per_vertex_triangles(c, color),
+    lambda c, color: rs.max_clique(c, color),
+    lambda c, color: rs.neighborhood_density(c, 0, color),
+], ids=["rows", "has_edge", "degree", "path_count", "per_vertex_triangles", "max_clique",
+        "neighborhood_density"])
+def test_color_must_be_a_color(call):
+    # a blue triangle 0-1-2 on n=4: read as red, "blue" would find none
+    c = rs.from_blue_edges(4, [(0, 1), (0, 2), (1, 2)])
+    for bad in ("blue", "red", None, 0):
+        with pytest.raises(rs.InputError):
+            call(c, bad)
 
 
 def test_path_count_star():
