@@ -10,6 +10,7 @@ hashes, the resolved config, and the library version.
 
 Every output table is declared once, as a list of row dicts: the csv
 header is the row keys, and the json document embeds the same rows.
+trade's key/value summary table is its json document flattened.
 
 Exit codes: 0 success, 2 missing input file (or an option click itself
 rejects), 3 parse failure, 4 clique search budget exceeded. Other
@@ -40,7 +41,7 @@ OUT_DIR_ENV = "RAMSEYSTATS_OUT_DIR"
 # Monte Carlo simulate's work in units of one draw on the default grid (0.37-0.49
 # us, 2 cores, CPython 3.11.7): a sample costs C(n,2) + 26, each of its counts
 # n + 3, and each density's row 1000 for the ~2 KB it holds until written.
-# Fitted to CLI runs at the cap's corners: each takes 1-9 s and at most 57 MB.
+# Fitted to CLI runs at the cap's corners: each takes 1-9 s and at most 54 MB.
 MAX_SIMULATED_WORK = 16_000_000
 # simulate --exhaustive takes about 0.2 s at n=11 and 3.5 times more per n.
 MAX_EXHAUSTIVE_N = 11
@@ -104,8 +105,8 @@ def _reject_options(names: set[str], context: str) -> None:
 
 def _report(out: Path, fmt: str, stem: str, doc: dict, tables: dict[str, list[dict]]):
     """Write each table (a non-empty list of row dicts) to <name>.csv
-    under a header of its row keys, or write doc, which embeds the same
-    rows, to <stem>.json. Fractions become floats in either format."""
+    under a header of its row keys, or write doc, which holds the same
+    data, to <stem>.json. Fractions become floats in either format."""
     if fmt == "json":
         path = out / f"{stem}.json"
         report.write_json(path, doc)
@@ -199,13 +200,13 @@ def main():
 
 # ---------------------------------------------------------------- sweep
 
-# curve -> the sweep column it draws, on screen and as a plot series
+# curve -> the sweep column it draws on screen
 _CURVES = {"mono": "mono_fraction", "red": "red_fraction", "blue": "blue_fraction",
            "transitivity": "transitivity"}
 
 
 def _sweep_report(out: Path, token: str, table: ingest.SweepTable, fmt: str) -> list[Path]:
-    """Print one subgroup's sweep; write its table and plot series."""
+    """Print one subgroup's sweep and write its table."""
     name, goodman = _safe_name(token), bounds_lib.goodman_fraction(table.n)
     rows = [
         {
@@ -236,13 +237,7 @@ def _sweep_report(out: Path, token: str, table: ingest.SweepTable, fmt: str) -> 
     csv_rows = [{"t": row["t"], "n": table.n, **row} for row in rows + [floor]]
     doc = {"command": "sweep", "subgroup": token, "n": table.n, "goodman": goodman,
            "rows": rows}
-    written = _report(out, fmt, f"sweep_{name}", doc, {f"sweep_{name}": csv_rows})
-    curves = {curve: [row[column] for row in rows] for curve, column in _CURVES.items()}
-    curves["goodman"] = [goodman.forced_fraction] * len(rows)  # horizontal reference line
-    for curve, values in curves.items():
-        written.append(out / f"plot_{name}_{curve}.csv")
-        report.write_csv(written[-1], ["t", "value"], zip([row["t"] for row in rows], values))
-    return written
+    return _report(out, fmt, f"sweep_{name}", doc, {f"sweep_{name}": csv_rows})
 
 
 @main.command("sweep")
@@ -415,13 +410,13 @@ def cmd_trade(input_path, k, orders, density_vertex, clique_budget, fmt, out_dir
     )[:5]
 
     goodman = bounds_lib.goodman_fraction(n)
-    tri, census_rows = None, []
+    tri, census_rows = census_lib.clique_census(graph, 3), []
     for m in orders:
-        c = census_lib.clique_census(graph, m)
         if m == 3:
-            tri, ref_kind, ref = c, "goodman", float(goodman.forced_fraction)
+            c, ref_kind, ref = tri, "goodman", float(goodman.forced_fraction)
             fit = stats.chi2_vs_goodman([c.mono_fraction], n)
         else:
+            c = census_lib.clique_census(graph, m)
             ref_kind, ref = "thomason", bounds_lib.thomason_bound(m)
             fit = stats.chi2([c.mono_fraction], [ref])
         census_rows.append({
@@ -438,12 +433,9 @@ def cmd_trade(input_path, k, orders, density_vertex, clique_budget, fmt, out_dir
         })
     bar = stats.bar_chi2([row["chi2"] for row in census_rows])
 
-    bias = None
-    if tri is None:
-        tri = census_lib.triangle_census(graph)
-    else:  # n >= 6 here, so Goodman forces mono > 0 and the shares exist
-        bias = {key: getattr(tri, key) for key in ("red_share", "blue_share", "bias_ratio")}
-    witnesses = {key: [labels[v] for v in r.witness] for key, r in cliques.items()}
+    # the shares are undefined without a monochromatic triangle
+    bias = ({key: getattr(tri, key) for key in ("red_share", "blue_share", "bias_ratio")}
+            if tri.mono else None)
     densities = dict.fromkeys(density_vertex)
     for label in densities:
         with contextlib.suppress(UndefinedDensityError):
@@ -451,8 +443,8 @@ def cmd_trade(input_path, k, orders, density_vertex, clique_budget, fmt, out_dir
                 census_lib.neighborhood_density(graph, labels.index(label), Color.BLUE)
             )
 
-    # trade.json nests its summary, trade_summary.csv lists it flat as
-    # key/value rows; both carry the census rows
+    # trade_summary.csv is this document less its census, flattened to
+    # key/value rows; trade_census.csv holds the census rows
     doc = {
         "command": "trade",
         "n": n,
@@ -468,20 +460,10 @@ def cmd_trade(input_path, k, orders, density_vertex, clique_budget, fmt, out_dir
                          "completion_ratio": tri.completion_ratio},
         "densities": densities,
         "goodman": goodman,
+        **{key: {**asdict(result), "witness": [labels[v] for v in result.witness]}
+           for key, result in cliques.items()},
     }
-    summary = [(key, doc[key]) for key in ("n", "k", "blue_edges", "red_edges", "mean_blue_degree")]
-    summary += [("goodman_fraction", goodman.forced_fraction), ("bar_chi2", bar)]
-    summary += [(key, doc["transitivity"][key]) for key in ("completion_ratio", "mono_paths2")]
-    for key, result in cliques.items():
-        doc[key] = {**asdict(result), "witness": witnesses[key]}
-        summary += [(f"{key}_size", result.size), (key, " ".join(witnesses[key])),
-                    (f"{key}_lower_bound_only", result.is_lower_bound)]
-    summary += [(f"top_blue_degree_{i}", f"{label}={deg}")
-                for i, (deg, label) in enumerate(top, start=1)]
-    if bias is not None:
-        summary += bias.items()
-    summary += [(f"density_{label}", "undefined" if value is None else value)
-                for label, value in densities.items()]
+    summary = report.flatten({key: value for key, value in doc.items() if key != "census"})
     out = _resolve_out_dir(out_dir)
     written = _report(out, fmt, "trade", doc, {
         "trade_summary": [{"key": key, "value": value} for key, value in summary],
@@ -495,7 +477,7 @@ def cmd_trade(input_path, k, orders, density_vertex, clique_budget, fmt, out_dir
     click.echo("top blue degrees: " + ", ".join(f"{label}={deg}" for deg, label in top))
     for key, result in cliques.items():
         bound = " (lower bound)" if result.is_lower_bound else ""
-        witness = ": " + " ".join(witnesses[key]) if key == "max_blue_clique" else ""
+        witness = ": " + " ".join(doc[key]["witness"]) if key == "max_blue_clique" else ""
         click.echo(f"{key.replace('_', ' ')} {result.size}{bound}{witness}")
     body = [
         [r["m"], f"{float(r['mono_fraction']):.3f}", r["reference_kind"],

@@ -1,4 +1,4 @@
-"""Deterministic emission of tables, plot series, and run manifests.
+"""Deterministic emission of tables and run manifests.
 
 Output bytes must be reproducible run to run: JSON keys are sorted,
 floats carry full repr precision, newlines are always LF, and exact
@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import csv
 import hashlib
-import io
 import json
 import math
 from dataclasses import fields, is_dataclass
@@ -46,12 +45,10 @@ def jsonable(obj):
     return _scalar(obj)
 
 
-def dumps_json(obj) -> str:
-    return json.dumps(jsonable(obj), sort_keys=True, indent=2, allow_nan=False) + "\n"
-
-
 def write_json(path: Path, obj) -> None:
-    path.write_text(dumps_json(obj), encoding="utf-8", newline="\n")
+    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+        json.dump(jsonable(obj), fh, sort_keys=True, indent=2, allow_nan=False)
+        fh.write("\n")
 
 
 def _cell(x) -> str:
@@ -59,17 +56,34 @@ def _cell(x) -> str:
     return "" if x is None else str(_scalar(x))
 
 
-def csv_text(header, rows) -> str:
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(header)
-    for row in rows:
-        writer.writerow([_cell(x) for x in row])
-    return buf.getvalue()
-
-
 def write_csv(path: Path, header, rows) -> None:
-    path.write_text(csv_text(header, rows), encoding="utf-8", newline="\n")
+    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(header)
+        writer.writerows([_cell(x) for x in row] for row in rows)
+
+
+def flatten(doc) -> list[tuple[str, object]]:
+    """The (dotted key, value) rows of a JSON-able document, in the order
+    its JSON text lists them: dict keys sorted, list items by index, so
+    {"a": [{"b": 1}]} gives [("a.0.b", 1)]. Values are converted as by
+    jsonable; None stays None, which write_csv leaves empty. An empty
+    dict or list gives no rows."""
+    rows = []
+
+    def walk(key: str, obj) -> None:
+        if isinstance(obj, dict):
+            items = sorted(obj.items())
+        elif isinstance(obj, list):
+            items = [(str(i), item) for i, item in enumerate(obj)]
+        else:
+            rows.append((key, obj))
+            return
+        for sub, item in items:
+            walk(f"{key}.{sub}" if key else sub, item)
+
+    walk("", jsonable(doc))
+    return rows
 
 
 def format_table(headers, rows) -> str:

@@ -53,11 +53,14 @@ def test_sweep_outputs(runner, sample_votes_path, tmp_path):
     by_t = {r[0]: r for r in rows[1:-1]}
     assert float(by_t["5"][6]) == 0.2
 
-    plot = read_csv(tmp_path / "plot_G_mono.csv")
-    assert plot[0] == ["t", "value"]
-    assert len(plot) == 10
-    goodman_line = read_csv(tmp_path / "plot_G_goodman.csv")
-    assert {v for _, v in goodman_line[1:]} == {"0.1"}
+    # the curves to plot against t are columns; the floor is the goodman row
+    col = {name: rows[0].index(name) for name in
+           ("mono_fraction", "red_fraction", "blue_fraction", "transitivity")}
+    for row in rows[1:-1]:
+        mono, red, blue = (float(row[col[name]]) for name in list(col)[:3])
+        assert mono == pytest.approx(red + blue)
+        assert 0 <= float(row[col["transitivity"]]) <= 1
+    assert rows[-1][col["mono_fraction"]] == "0.1"
 
     # subgroup file has its own goodman floor (n=4 -> 0)
     d_rows = read_csv(tmp_path / "sweep_D.csv")
@@ -69,6 +72,17 @@ def test_sweep_outputs(runner, sample_votes_path, tmp_path):
     assert manifest["inputs"]["votes"]["sha256"] == report.sha256_file(sample_votes_path)
     assert manifest["config"]["subgroups"] == ["G", "D"]
     assert manifest["config"]["out_dir"] == str(tmp_path)
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_sweep_writes_only_its_tables(runner, sample_votes_path, tmp_path, fmt):
+    result = run_ok(runner, [
+        "sweep", "--input", str(sample_votes_path), "--subgroup", "G", "--subgroup", "D",
+        "--format", fmt, "--out-dir", str(tmp_path),
+    ])
+    assert sorted(p.name for p in tmp_path.iterdir()) == [
+        "manifest.json", f"sweep_D.{fmt}", f"sweep_G.{fmt}"]
+    assert f"wrote 3 files to {tmp_path}" in result.output
 
 
 def test_sweep_json_format(runner, sample_votes_path, tmp_path):
@@ -376,6 +390,31 @@ def test_trade_csv_outputs(runner, trade_small_path, tmp_path):
     assert [r[0] for r in census_rows[1:]] == ["3", "4", "5"]
     manifest = json.loads((tmp_path / "manifest.json").read_text())
     assert manifest["config"]["k"] == 2
+
+
+def test_trade_summary_round_trips_labels(runner, tmp_path):
+    names = ["New Zealand", "South Africa", "United States", "Korea, Republic of",
+             "x=1", 'Say "hi"', "Zed"]
+    flows = tmp_path / "flows.csv"
+    with open(flows, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(["exporter", "importer", "volume"])
+        writer.writerows((a, b, (3 * i + 5 * j) % 11 + 1)
+                         for i, a in enumerate(names) for j, b in enumerate(names) if a != b)
+    for fmt in ("csv", "json"):
+        run_ok(runner, ["trade", "--input", str(flows), "--k", "2", "--format", fmt,
+                        "--out-dir", str(tmp_path / fmt)])
+    doc = json.loads((tmp_path / "json" / "trade.json").read_text())
+    summary = dict(read_csv(tmp_path / "csv" / "trade_summary.csv")[1:])
+    for key in ("max_blue_clique", "max_blue_independent_set"):
+        witness = doc[key]["witness"]
+        assert len(witness) >= 2
+        assert [summary[f"{key}.witness.{i}"] for i in range(len(witness))] == witness
+        assert f"{key}.witness.{len(witness)}" not in summary
+    top = [(summary[f"top_blue_degrees.{i}.label"], int(summary[f"top_blue_degrees.{i}.degree"]))
+           for i in range(5)]
+    assert top == [(entry["label"], entry["degree"]) for entry in doc["top_blue_degrees"]]
+    assert {label for label, _ in top} <= set(names)
 
 
 def test_trade_budget_exhausted_exit_4(runner, trade_small_path, tmp_path):

@@ -12,6 +12,7 @@ Regenerate golden.json only after a deliberate output change:
     PYTHONPATH=src python tests/test_golden.py
 """
 
+import csv
 import hashlib
 import json
 import sys
@@ -21,6 +22,7 @@ from pathlib import Path
 import pytest
 from click.testing import CliRunner
 
+from ramseystats import report
 from ramseystats.cli import main
 
 DATA = Path(__file__).parent / "data"
@@ -88,6 +90,19 @@ def test_golden_outputs(case, fmt, tmp_path):
     # those; the input path is hashed under inputs instead
     options = {param.name for param in main.commands[CASES[case][0]].params}
     assert set(got["manifest"]["config"]) == options - {"input_path", *MACHINE_FIELDS}
+
+
+@pytest.mark.parametrize("case", sorted(c for c, args in CASES.items() if args[0] == "trade"))
+def test_trade_summary_is_flat_trade_json(case, tmp_path):
+    for fmt in FORMATS:
+        observe([*CASES[case], "--format", fmt], tmp_path / fmt)
+    doc = json.loads((tmp_path / "json" / "trade.json").read_text())
+    del doc["census"]  # trade_census.csv
+    with open(tmp_path / "csv" / "trade_summary.csv", newline="") as fh:
+        rows = list(csv.reader(fh))
+    assert rows[0] == ["key", "value"]
+    assert rows[1:] == [[key, "" if value is None else str(value)]
+                        for key, value in report.flatten(doc)]
 
 
 def test_golden_covers_every_case():

@@ -1,3 +1,5 @@
+import csv
+import io
 import json
 import math
 from dataclasses import dataclass
@@ -29,21 +31,34 @@ def test_jsonable_conversions():
     }
 
 
-def test_dumps_json_deterministic():
-    a = report.dumps_json({"b": 1, "a": [Fraction(1, 2)]})
-    b = report.dumps_json({"a": [Fraction(1, 2)], "b": 1})
-    assert a == b
-    assert a.endswith("\n")
-    assert json.loads(a) == {"a": [0.5], "b": 1}
+def test_write_json_sorted_and_streamed(tmp_path):
+    path = tmp_path / "doc.json"
+    want = json.dumps({"a": [0.5], "b": 1}, sort_keys=True, indent=2) + "\n"
+    for doc in ({"b": 1, "a": [Fraction(1, 2)]}, {"a": [Fraction(1, 2)], "b": 1}):
+        report.write_json(path, doc)
+        assert path.read_bytes() == want.encode()
 
 
-def test_csv_text_full_precision():
-    text = report.csv_text(["x", "y"], [(Fraction(1, 3), 0.1), (None, math.inf)])
-    lines = text.splitlines()
-    assert lines[0] == "x,y"
-    assert lines[1] == f"{1 / 3!r},0.1"
-    assert lines[2] == ",inf"
-    assert text.endswith("\n")
+def test_write_csv_full_precision(tmp_path):
+    path = tmp_path / "t.csv"
+    rows = [(Fraction(1, 3), 0.1), (None, math.inf), ("a, b", 'say "x"\n')]
+    report.write_csv(path, ["x", "y"], rows)
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerows([["x", "y"], [repr(1 / 3), "0.1"], ["", "inf"], ["a, b", 'say "x"\n']])
+    assert path.read_bytes() == buf.getvalue().encode()
+
+
+def test_flatten_order_and_values():
+    @dataclass(frozen=True)
+    class Point:
+        x: Fraction
+
+    doc = {"b": [{"y": None, "x": Fraction(1, 4)}, Point(Fraction(1, 2))], "a": 1,
+           "c": {}, "d": (), "e": {"z": math.inf}}
+    assert report.flatten(doc) == [
+        ("a", 1), ("b.0.x", 0.25), ("b.0.y", None), ("b.1.x", 0.5), ("e.z", "inf"),
+    ]
 
 
 def test_format_table_alignment():
