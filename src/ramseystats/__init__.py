@@ -53,6 +53,7 @@ from .ingest import (
     random_blue_degrees,
     random_coloring,
     sweep,
+    vote_sweeps,
 )
 from .stats import (
     Chi2Report,
@@ -107,4 +108,5 @@ __all__ = [
     "sweep",
     "thomason_bound",
     "triangle_census",
+    "vote_sweeps",
 ]

@@ -157,8 +157,8 @@ def _votes_options(fn):
 
 
 def _votes_sweeps(path: Path, subgroups, t_min: int, t_max: int | None):
-    """Load a votes file and its distance matrix once. Returns the
-    resolved t_max and a list of (subgroup token, sweep table), all
+    """Load a votes file and sweep every subgroup in one pass. Returns
+    the resolved t_max and a list of (subgroup token, sweep table), all
     computed, so a bad token or range fails before any output. A t_max
     above the vote count + 1 only repeats the all-red row, so it fails."""
     names = [_safe_name(token) for token in subgroups]
@@ -166,21 +166,12 @@ def _votes_sweeps(path: Path, subgroups, t_min: int, t_max: int | None):
     if clash:
         _fail(1, f"subgroups {', '.join(map(repr, clash))} would share output files")
     records = _load(path, ingest.parse_votes, "records")
-    dist = ingest.hamming_matrix(records)
     votes = len(records[0].votes)
-    if t_max is None:
-        t_max = max(max(row) for row in dist.d) + 1
-    elif t_max > votes + 1:
+    if t_max is not None and t_max > votes + 1:
         _fail(1, f"t-max {t_max} above {votes + 1}: no distance exceeds the {votes} votes "
                  "per record")
-    groups = {token: None if token == "G" else ingest.party_indices(records, token)
-              for token in subgroups}
-    for token, idx in groups.items():
-        if token != "G" and not idx:
-            _fail(1, f"subgroup {token!r} matches no records")
-    return t_max, [(token, ingest.sweep(dist if idx is None else dist.submatrix(idx),
-                                        (t_min, t_max)))
-                   for token, idx in groups.items()]
+    tables = ingest.vote_sweeps(records, (t_min, t_max), subgroups)
+    return tables[0].rows[-1][0], list(zip(subgroups, tables))
 
 
 class _Main(click.Group):
@@ -436,11 +427,11 @@ def cmd_trade(input_path, k, orders, density_vertex, clique_budget, fmt, out_dir
     # the shares are undefined without a monochromatic triangle
     bias = ({key: getattr(tri, key) for key in ("red_share", "blue_share", "bias_ratio")}
             if tri.mono else None)
-    densities = dict.fromkeys(density_vertex)
-    for label in densities:
+    densities = [{"label": label, "density": None} for label in dict.fromkeys(density_vertex)]
+    for row in densities:
         with contextlib.suppress(UndefinedDensityError):
-            densities[label] = float(
-                census_lib.neighborhood_density(graph, labels.index(label), Color.BLUE)
+            row["density"] = float(
+                census_lib.neighborhood_density(graph, labels.index(row["label"]), Color.BLUE)
             )
 
     # trade_summary.csv is this document less its census, flattened to
@@ -486,9 +477,9 @@ def cmd_trade(input_path, k, orders, density_vertex, clique_budget, fmt, out_dir
     ]
     click.echo(report.format_table(["m", "mono", "ref_kind", "ref", "chi2"], body))
     click.echo(f"bar chi2 {bar:.3f}, completion ratio {float(tri.completion_ratio):.3f}")
-    for label, value in densities.items():
-        shown = "undefined" if value is None else f"{value:.4f}"
-        click.echo(f"blue neighborhood density of {label}: {shown}")
+    for row in densities:
+        shown = "undefined" if row["density"] is None else f"{row['density']:.4f}"
+        click.echo(f"blue neighborhood density of {row['label']}: {shown}")
     _finish(out, written, {"flows": input_path}, orders=orders)
     if any(result.is_lower_bound for result in cliques.values()):
         _fail(4, "clique search node budget exceeded; sizes are lower bounds")

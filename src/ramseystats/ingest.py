@@ -1,12 +1,15 @@
 """Turn raw datasets into two-colored complete graphs.
 
 Three routes in:
-  * categorical vote records -> Hamming distance matrix -> threshold
-    colorings (red at or below the threshold, blue above), swept over a
-    threshold range; the sweep is one pass over the pairs in distance
-    order, one popcount per pair turning red, with the blue triangles
-    from Goodman's degree identity, so it builds no coloring per
-    threshold;
+  * categorical vote records -> pairs bucketed by Hamming distance ->
+    threshold colorings (red at or below the threshold, blue above),
+    swept over a threshold range. The buckets are bit-sliced
+    (distance_classes), so no distance matrix is built, and one pass
+    over the pairs in distance order sweeps every requested subgroup
+    (vote_sweeps): one popcount per pair turning red and subgroup
+    holding it, with the blue triangles from Goodman's degree identity,
+    so no coloring is built per threshold. sweep runs the same pass on
+    a given distance matrix;
   * directed weighted trade flows -> blue edges to each country's top-k
     import and export partners, red elsewhere;
   * seeded random draws, one per pair, for simulation baselines: the
@@ -175,13 +178,9 @@ def hamming_matrix(records: Sequence[VoterRecord]) -> DistanceMatrix:
     n = len(records)
     if n == 0:
         return DistanceMatrix(())
-    length = len(records[0].votes)
+    length = _vote_length(records)
     masks = []
     for r in records:
-        if len(r.votes) != length:
-            raise InputError(
-                f"record {r.id!r} has length {len(r.votes)}, expected {length}"
-            )
         y = nay = 0
         for pos, ch in enumerate(r.votes):
             if ch == "Y":
@@ -198,6 +197,67 @@ def hamming_matrix(records: Sequence[VoterRecord]) -> DistanceMatrix:
     return DistanceMatrix(d, labels=[r.id for r in records])
 
 
+def _vote_length(records: Sequence[VoterRecord]) -> int:
+    """The vote count shared by every record."""
+    length = len(records[0].votes)
+    for r in records:
+        if len(r.votes) != length:
+            raise InputError(
+                f"record {r.id!r} has length {len(r.votes)}, expected {length}"
+            )
+    return length
+
+
+def distance_classes(records: Sequence[VoterRecord]) -> list[dict[int, int]]:
+    """classes[a][d]: the bitmask of the records b > a at Hamming
+    distance exactly d from record a, for each d that occurs.
+
+    Bit-sliced, with no loop over pairs: each (bill, vote) gets the
+    mask of the records voting otherwise on that bill, and for record a
+    a carry-save counter adds up its L masks, one per bill, into binary
+    bit-planes over all records (plane k holds bit k of every count).
+    Splitting the records above a by the planes gives the classes. That
+    is O(L log L) big-int operations per record, for L bills.
+    """
+    n = len(records)
+    if n == 0:
+        return []
+    length = _vote_length(records)
+    everyone = (1 << n) - 1
+    voted = [dict.fromkeys("YNA", 0) for _ in range(length)]
+    for i, r in enumerate(records):
+        bit = 1 << i
+        for by_vote, ch in zip(voted, r.votes):
+            by_vote[ch] |= bit
+    differ = [{ch: everyone ^ mask for ch, mask in by_vote.items()} for by_vote in voted]
+    classes = []
+    for a, r in enumerate(records):
+        planes: list[int] = []
+        for by_vote, ch in zip(differ, r.votes):
+            carry = by_vote[ch]
+            for k, plane in enumerate(planes):
+                planes[k] = plane ^ carry
+                carry &= plane
+                if not carry:
+                    break
+            else:
+                if carry:
+                    planes.append(carry)
+        above = everyone >> (a + 1) << (a + 1)
+        parts = [(0, above)] if above else []
+        for k, plane in enumerate(planes):
+            split = []
+            for dist, mask in parts:
+                far = mask & plane
+                if far:
+                    split.append((dist | 1 << k, far))
+                if far != mask:
+                    split.append((dist, mask ^ far))
+            parts = split
+        classes.append(dict(parts))
+    return classes
+
+
 @dataclass(frozen=True)
 class SweepTable:
     """The (t, census) rows of a sweep over n records, ordered by t."""
@@ -211,56 +271,117 @@ def sweep(d: DistanceMatrix, t_range: tuple[int, int]) -> SweepTable:
 
     Rows come back ordered by t, and each census equals the triangle
     census of the threshold coloring at t: red at distance <= t, blue
-    above. Sweep a subgroup through `d.submatrix(indices)`.
+    above. vote_sweeps sweeps several subgroups of vote records at once.
+    """
+    classes = []
+    for a, row in enumerate(d.d):
+        by_distance: dict[int, int] = {}
+        for b in range(a + 1, d.n):
+            by_distance[row[b]] = by_distance.get(row[b], 0) | 1 << b
+        classes.append(by_distance)
+    return _sweep(classes, [(1 << d.n) - 1], t_range)[0]
 
-    The threshold graphs are nested, so the sweep is one pass over the
-    pairs in distance order: a pair turning red closes one red triangle
-    per common red neighbour, one popcount of the two red rows. The
-    blue count then follows from the red degrees by Goodman's identity
-    (census.mono_triangles).
+
+def vote_sweeps(records: Sequence[VoterRecord], t_range: tuple[int, int | None],
+                subgroups: Sequence[str]) -> list[SweepTable]:
+    """One sweep per subgroup token, in the order given: G stands for
+    every record, any other token for the records of that party.
+
+    Each table equals sweep(hamming_matrix(records).submatrix(idx),
+    t_range) for the subgroup's indices idx, but no distance matrix is
+    built: distance_classes gives the pairs by distance, and one pass
+    over them sweeps every subgroup. A t_max of None means the largest
+    distance + 1.
+    """
+    groups = []
+    for token in subgroups:
+        mask = 0
+        for i, r in enumerate(records):
+            if token in ("G", r.party):
+                mask |= 1 << i
+        if not mask:
+            raise InputError(f"subgroup {token!r} matches no records")
+        groups.append(mask)
+    classes = distance_classes(records)
+    t_min, t_max = t_range
+    if t_max is None:
+        t_max = max((max(by_distance) for by_distance in classes if by_distance),
+                    default=0) + 1
+    return _sweep(classes, groups, (t_min, t_max))
+
+
+def _sweep(classes: Sequence[dict[int, int]], groups: Sequence[int],
+           t_range: tuple[int, int]) -> list[SweepTable]:
+    """The sweep of each group (a vertex mask) over the pairs in classes,
+    which holds, for each vertex a, its partners b > a by distance.
+
+    The threshold graphs are nested, so this is one pass over the pairs
+    in distance order, on the red rows of all the vertices. A pair
+    turning red inside a group closes one red triangle of that group per
+    common red neighbour in it, one popcount of the two red rows and the
+    group. Each group's blue count then follows from its red degrees
+    within it by Goodman's identity (census.mono_triangles). Only pairs
+    inside some group join.
     """
     t_min, t_max = t_range
     if t_min > t_max:
         raise InputError(f"empty threshold range [{t_min}, {t_max}]")
-    n = d.n
-    if n < 3:
-        raise InputError(f"a sweep needs at least 3 records, got {n}")
+    sizes = [group.bit_count() for group in groups]
+    for size in sizes:
+        if size < 3:
+            raise InputError(f"a sweep needs at least 3 records, got {size}")
     if t_min < 0:
         raise InputError(f"threshold must be >= 0, got {t_min}")
 
-    # joins[t][a]: bitmask of the b > a whose pair with a turns red at t.
-    # Pairs at or below t_min join at t_min; pairs above t_max never do.
+    n = len(classes)
+    members = [[v for v in range(n) if group >> v & 1] for group in groups]
+    # cells[a]: the vertices sharing a group with a, split by the groups
+    # (index, mask) that hold both; -1 is the mask of every vertex.
+    cells = []
+    for a in range(n):
+        split: list[tuple[int, tuple]] = [(-1, ())]
+        for i, group in enumerate(groups):
+            if group >> a & 1:
+                split = [(part, shared + ((i, group),) if inside else shared)
+                         for cell, shared in split
+                         for part, inside in ((cell & group, True), (cell & ~group, False))
+                         if part]
+        cells.append([(cell, shared) for cell, shared in split if shared])
+    # joins[t][a]: the mask of the b > a whose pair turns red at t. Pairs
+    # at or below t_min join at t_min; pairs above t_max never do.
     joins: dict[int, dict[int, int]] = {}
-    for a, row in enumerate(d.d):
-        by_distance: dict[int, int] = {}
-        for b in range(a + 1, n):
-            dist = row[b]
-            by_distance[dist] = by_distance.get(dist, 0) | 1 << b
+    for a, by_distance in enumerate(classes):
         for dist, mask in by_distance.items():
             if dist <= t_max:
                 at_t = joins.setdefault(max(dist, t_min), {})
                 at_t[a] = at_t.get(a, 0) | mask
 
-    total = math.comb(n, 3)
     red = [0] * n
-    red_count = 0
-    rows = []
+    red_counts = [0] * len(groups)
+    rows: list[list] = [[] for _ in groups]
     for t in range(t_min, t_max + 1):
         for a, new in joins.get(t, {}).items():
             red_a = red[a]
             bit_a = 1 << a
-            while new:
-                low = new & -new
-                new ^= low
-                b = low.bit_length() - 1
-                red_count += (red_a & red[b]).bit_count()
-                red_a |= low
-                red[b] |= bit_a
+            for cell, shared in cells[a]:
+                part = new & cell
+                while part:
+                    low = part & -part
+                    part ^= low
+                    b = low.bit_length() - 1
+                    common = red_a & red[b]
+                    for i, group in shared:
+                        red_counts[i] += (common & group).bit_count()
+                    red_a |= low
+                    red[b] |= bit_a
             red[a] = red_a
-        mono = mono_triangles(n, map(int.bit_count, red))
-        rows.append((t, CliqueCensus(n=n, m=3, total=total, red_count=red_count,
-                                     blue_count=mono - red_count)))
-    return SweepTable(n=n, rows=tuple(rows))
+        for i, group in enumerate(groups):
+            size = sizes[i]
+            mono = mono_triangles(size, [(red[v] & group).bit_count() for v in members[i]])
+            rows[i].append((t, CliqueCensus(n=size, m=3, total=math.comb(size, 3),
+                                            red_count=red_counts[i],
+                                            blue_count=mono - red_counts[i])))
+    return [SweepTable(n=size, rows=tuple(r)) for size, r in zip(sizes, rows)]
 
 
 def parse_trade_flows(lines: Iterable[str]) -> list[TradeFlow]:

@@ -373,7 +373,7 @@ def test_trade_command(runner, trade_ring_path, tmp_path):
     census4 = next(c for c in doc["census"] if c["m"] == 4)
     assert census4["reference_kind"] == "thomason"
     # ring blue degree is 2 everywhere; neighbors C1,C5 are not partners
-    assert doc["densities"]["C0"] == 0.0
+    assert doc["densities"] == [{"label": "C0", "density": 0.0}]
     assert doc["transitivity"]["mono_paths2"] == 24
     assert "max blue clique 2" in result.output
 
@@ -394,18 +394,27 @@ def test_trade_csv_outputs(runner, trade_small_path, tmp_path):
 
 def test_trade_summary_round_trips_labels(runner, tmp_path):
     names = ["New Zealand", "South Africa", "United States", "Korea, Republic of",
-             "x=1", 'Say "hi"', "Zed"]
+             "x=1", 'Say "hi"', "Zed", "St. Lucia", "U.S."]
     flows = tmp_path / "flows.csv"
     with open(flows, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["exporter", "importer", "volume"])
         writer.writerows((a, b, (3 * i + 5 * j) % 11 + 1)
                          for i, a in enumerate(names) for j, b in enumerate(names) if a != b)
+    densities = ["--density-vertex", "U.S.", "--density-vertex", "St. Lucia",
+                 "--density-vertex", "U.S."]
     for fmt in ("csv", "json"):
-        run_ok(runner, ["trade", "--input", str(flows), "--k", "2", "--format", fmt,
-                        "--out-dir", str(tmp_path / fmt)])
+        run_ok(runner, ["trade", "--input", str(flows), "--k", "2", *densities,
+                        "--format", fmt, "--out-dir", str(tmp_path / fmt)])
     doc = json.loads((tmp_path / "json" / "trade.json").read_text())
     summary = dict(read_csv(tmp_path / "csv" / "trade_summary.csv")[1:])
+    # every key is a path into trade.json: labels are values, never keys
+    for key, value in summary.items():
+        node = doc
+        for part in key.split("."):
+            node = node[int(part)] if isinstance(node, list) else node[part]
+        assert value == ("" if node is None else str(node)), key
+    assert [row["label"] for row in doc["densities"]] == ["U.S.", "St. Lucia"]
     for key in ("max_blue_clique", "max_blue_independent_set"):
         witness = doc[key]["witness"]
         assert len(witness) >= 2

@@ -1,8 +1,9 @@
 import time
 from fractions import Fraction
+from itertools import combinations
 
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 import oracles
@@ -340,11 +341,84 @@ def test_sweep_far_past_the_largest_distance(sample_matrix):
     assert elapsed < 2.0
 
 
-def test_sweep_builds_no_coloring(monkeypatch, sample_matrix):
+def test_sweep_builds_no_coloring(monkeypatch, sample_matrix, sample_records):
     def refuse(*args, **kwargs):
-        raise AssertionError("sweep built a coloring")
+        raise AssertionError("sweep built a coloring or a distance matrix")
     monkeypatch.setattr(ingest, "TwoColoring", refuse)
     assert len(rs.sweep(sample_matrix, (0, 8)).rows) == 9
+    monkeypatch.setattr(ingest, "DistanceMatrix", refuse)
+    monkeypatch.setattr(ingest, "hamming_matrix", refuse)
+    tables = rs.vote_sweeps(sample_records, (0, None), ["G", "D"])
+    assert [len(table.rows) for table in tables] == [9, 9]
+
+
+@st.composite
+def voter_records(draw, min_records=1):
+    """Records of 1-40 votes (counts of 1-6 bit-planes), some all A,
+    some repeated, each with a party drawn from D, R and I."""
+    length = draw(st.integers(1, 40))
+    vote = st.text("YNA", min_size=length, max_size=length) | st.just("A" * length)
+    distinct = draw(st.lists(vote, min_size=1, max_size=8))
+    votes = draw(st.lists(st.sampled_from(distinct), min_size=min_records, max_size=12))
+    return [rs.VoterRecord(str(i), draw(st.sampled_from("DRI")), v)
+            for i, v in enumerate(votes)]
+
+
+def records_of(*votes):
+    return [rs.VoterRecord(str(i), "DR"[i % 2], v) for i, v in enumerate(votes)]
+
+
+@given(records=voter_records())
+@example(records=records_of("YNA"))
+@example(records=records_of("A" * 7, "A" * 7))
+@example(records=records_of("Y" * 16, "N" * 16, "A" * 16))
+@example(records=records_of("YN" * 20, "NY" * 20, "YN" * 20, "A" * 40))
+def test_distance_classes_match_hamming_matrix(records):
+    d = rs.hamming_matrix(records)
+    want = [{} for _ in records]
+    for a, b in combinations(range(d.n), 2):
+        want[a][d.d[a][b]] = want[a].get(d.d[a][b], 0) | 1 << b
+    assert ingest.distance_classes(records) == want
+
+
+@settings(deadline=None)
+@given(records=voter_records(min_records=3), data=st.data())
+@example(records=records_of("YY", "YN", "NN", "AA", "YA", "NA"), data=None)
+def test_vote_sweeps_match_submatrix_sweeps(records, data):
+    d = rs.hamming_matrix(records)
+    index = {token: [i for i, r in enumerate(records) if token in ("G", r.party)]
+             for token in "GDRI"}
+    largest = max(map(max, d.d))
+    if data is None:  # every party with and without G, t_max past the largest distance
+        cases = [(["D", "R"], 1, None), (["R", "G", "D"], 0, largest + 3)]
+    else:
+        subgroups = data.draw(st.lists(
+            st.sampled_from([token for token, idx in index.items() if len(idx) >= 3]),
+            min_size=1, unique=True))
+        t_min = data.draw(st.integers(0, largest + 2))
+        t_max = data.draw(st.none() | st.integers(t_min, largest + 3))
+        assume(t_max is not None or t_min <= largest + 1)
+        cases = [(subgroups, t_min, t_max)]
+    for subgroups, t_min, t_max in cases:
+        tables = rs.vote_sweeps(records, (t_min, t_max), subgroups)
+        t_range = (t_min, largest + 1 if t_max is None else t_max)
+        assert tables == [rs.sweep(d.submatrix(index[token]), t_range) for token in subgroups]
+
+
+def test_vote_sweeps_error_messages(sample_records):
+    # the six sample records: D has 4, R has 2, the largest distance is 7
+    cases = [
+        (sample_records, (-1, 3), ["G"], "threshold must be >= 0, got -1"),
+        (sample_records, (3, 2), ["G"], "empty threshold range [3, 2]"),
+        (sample_records, (9, None), ["G"], "empty threshold range [9, 8]"),
+        (sample_records, (0, 3), ["G", "R"], "a sweep needs at least 3 records, got 2"),
+        (sample_records[:2], (0, 3), ["G"], "a sweep needs at least 3 records, got 2"),
+        (sample_records, (0, 3), ["D", "X"], "subgroup 'X' matches no records"),
+    ]
+    for records, t_range, subgroups, message in cases:
+        with pytest.raises(rs.InputError) as err:
+            rs.vote_sweeps(records, t_range, subgroups)
+        assert str(err.value) == message
 
 
 def test_parse_trade_flows(trade_small_path):
