@@ -12,6 +12,10 @@ Every output table is declared once, as a list of row dicts: the csv
 header is the row keys, and the json document embeds the same rows.
 trade's key/value summary table is its json document flattened.
 
+Each command imports the modules only it needs (ingest, stats,
+statistics) where it calls them, so bounds and simulate --exhaustive
+start without loading them.
+
 Exit codes: 0 success, 2 missing input file (or an option click itself
 rejects), 3 parse failure, 4 clique search budget exceeded. Other
 errors exit 1.
@@ -20,8 +24,8 @@ errors exit 1.
 from __future__ import annotations
 
 import contextlib
+import io
 import random
-import statistics
 import sys
 from dataclasses import asdict
 from fractions import Fraction
@@ -33,7 +37,7 @@ from click.core import ParameterSource
 
 from . import bounds as bounds_lib
 from . import census as census_lib
-from . import ingest, report, stats
+from . import report
 from .coloring import Color
 from .errors import InputError, ParseError, UndefinedDensityError
 
@@ -69,7 +73,8 @@ def _load(path: Path, parse, what: str) -> list:
     if not path.is_file():
         _fail(2, f"input file not found: {path}")
     try:
-        items = parse(path.read_text(encoding="utf-8-sig").splitlines())
+        # newline="": split rows only where csv does, not at U+2028 and the like
+        items = parse(io.StringIO(path.read_text(encoding="utf-8-sig"), newline=""))
     except (ParseError, UnicodeDecodeError) as exc:
         _fail(3, f"{path}: {exc}")
     if not items:
@@ -165,6 +170,8 @@ def _votes_sweeps(path: Path, subgroups, t_min: int, t_max: int | None):
     clash = [token for token, name in zip(subgroups, names) if names.count(name) > 1]
     if clash:
         _fail(1, f"subgroups {', '.join(map(repr, clash))} would share output files")
+    from . import ingest
+
     records = _load(path, ingest.parse_votes, "records")
     votes = len(records[0].votes)
     if t_max is not None and t_max > votes + 1:
@@ -196,8 +203,8 @@ _CURVES = {"mono": "mono_fraction", "red": "red_fraction", "blue": "blue_fractio
            "transitivity": "transitivity"}
 
 
-def _sweep_report(out: Path, token: str, table: ingest.SweepTable, fmt: str) -> list[Path]:
-    """Print one subgroup's sweep and write its table."""
+def _sweep_report(out: Path, token: str, table, fmt: str) -> list[Path]:
+    """Print one subgroup's sweep (an ingest.SweepTable) and write its table."""
     name, goodman = _safe_name(token), bounds_lib.goodman_fraction(table.n)
     rows = [
         {
@@ -266,6 +273,8 @@ def _chi2_series(n: int, points):
 
 def _chi2_reports(observed, expected, n, df, significance) -> list[dict]:
     """The full comparison battery on mono/red/blue series triples."""
+    from . import stats
+
     rows = []
     for series in ("mono", "red", "blue"):
         per_color = series != "mono"
@@ -323,6 +332,8 @@ def cmd_chi2(input_path, kind, subgroups, t_min, t_max, df, k, significance, fmt
             for token, table in tables
         ]
     else:
+        from . import ingest
+
         graph = ingest.build_trade_graph(_load(input_path, ingest.parse_trade_flows, "flows"), k)
         if k > graph.n:
             _fail(1, f"--k {k} above the {graph.n} countries of the trade graph")
@@ -383,6 +394,8 @@ def cmd_chi2(input_path, kind, subgroups, t_min, t_max, df, k, significance, fmt
 @_output_options
 def cmd_trade(input_path, k, orders, density_vertex, clique_budget, fmt, out_dir):
     """Census and extremal structure of a top-k trade partner graph."""
+    from . import ingest, stats
+
     orders = _parse_orders(orders, minimum=3, maximum=5)
     graph = ingest.build_trade_graph(_load(input_path, ingest.parse_trade_flows, "flows"), k)
     n, labels = graph.n, graph.labels
@@ -535,6 +548,10 @@ def cmd_simulate(n, t_min, t_max, t_step, samples, seed, exhaustive, fmt, out_di
         if work > MAX_SIMULATED_WORK:
             _fail(1, f"n={n} with {points} densities x {samples} samples needs {work} "
                      f"units of work, above the cap of {MAX_SIMULATED_WORK}")
+        import statistics
+
+        from . import ingest
+
         grid = [lo + k * step for k in range(points)]
         ts = [float(tau) for tau in grid]
         master = random.Random(seed)

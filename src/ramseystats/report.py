@@ -9,7 +9,6 @@ tables round half to even at 3 decimals; machine files do not round.
 from __future__ import annotations
 
 import csv
-import hashlib
 import json
 import math
 from dataclasses import fields, is_dataclass
@@ -95,6 +94,8 @@ def format_table(headers, rows) -> str:
 
 
 def sha256_file(path: Path) -> str:
+    import hashlib  # only runs that read an input hash it; hashlib loads OpenSSL
+
     return hashlib.sha256(path.read_bytes()).hexdigest()
 
 

@@ -1,6 +1,8 @@
 import csv
 import json
+import os
 import random
+import subprocess
 import sys
 import tempfile
 import time
@@ -175,6 +177,90 @@ def test_input_not_in_utf8_exit_3(runner, tmp_path, request, fixture, command):
     assert isinstance(result.exception, SystemExit)
     assert result.output.startswith(f"error: {latin1}: 'utf-8' codec can't decode byte 0xe9")
     assert not (tmp_path / "out").exists()
+
+
+# characters str.splitlines breaks at but csv keeps inside a field
+LINE_SEPARATORS = ["\u2028", "\u2029", "\x85", "\x0b", "\x0c", "\x1c", "\x1d", "\x1e"]
+
+
+@pytest.mark.parametrize("sep", LINE_SEPARATORS, ids=lambda sep: f"U+{ord(sep):04X}")
+def test_line_separator_inside_a_trade_label(runner, trade_small_path, tmp_path, sep):
+    marked = tmp_path / "marked.csv"
+    marked.write_text(trade_small_path.read_text().replace("Alpha", f"A{sep}x"))
+    for path in (trade_small_path, marked):
+        run_ok(runner, ["trade", "--input", str(path), "--k", "2", "--format", "json",
+                        "--out-dir", str(tmp_path / path.stem)])
+    got = (tmp_path / "marked" / "trade.json").read_text()
+    label = json.dumps(f"A{sep}x")[1:-1]  # as trade.json escapes it
+    assert label in got
+    assert got.replace(label, "Alpha") == \
+        (tmp_path / trade_small_path.stem / "trade.json").read_text()
+
+
+def test_line_separator_inside_a_votes_id(runner, sample_votes_path, tmp_path):
+    headed = tmp_path / "headed.csv"
+    header = ",".join(["id", "party", *(f"v{j}" for j in range(1, 17))])
+    records = sample_votes_path.read_text().splitlines()
+    headed.write_text("\n".join([header, *(f"r\u2028{i},{r}" for i, r in enumerate(records))]))
+    outputs = []
+    for path in (sample_votes_path, headed):
+        out = tmp_path / path.stem
+        result = run_ok(runner, ["sweep", "--input", str(path), "--out-dir", str(out)])
+        files = {p.name: p.read_bytes() for p in out.iterdir() if p.name != "manifest.json"}
+        outputs.append((result.stdout.replace(str(out), "<out>"), files))
+    assert outputs[1] == outputs[0]
+
+
+# Modules each command loads from src/; the rest load only where called.
+_STARTUP = {"bounds", "census", "cli", "coloring", "errors", "report"}
+_LOADED = """
+import json, sys
+if sys.argv[1:]:
+    from ramseystats.cli import main
+    main(sys.argv[1:], standalone_mode=False)
+else:
+    import ramseystats.cli
+print(json.dumps([sorted(m.split(".")[1] for m in sys.modules if m.startswith("ramseystats.")),
+                  {m: m in sys.modules for m in ("hashlib", "statistics")}]))
+"""
+_STDLIB = """
+import json, sys
+print(json.dumps({m: m in sys.modules for m in ("hashlib", "statistics")}))
+"""
+
+
+@pytest.fixture(scope="module")
+def bare_stdlib():
+    """Which of the checked stdlib modules `python -c pass` loads."""
+    proc = subprocess.run([sys.executable, "-c", _STDLIB], capture_output=True, text=True,
+                          timeout=60, check=True)
+    return json.loads(proc.stdout)
+
+
+def _loaded(args, tmp_path):
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = {**os.environ, "PYTHONPATH": str(src)}
+    proc = subprocess.run([sys.executable, "-c", _LOADED, *args], env=env, cwd=tmp_path,
+                          capture_output=True, text=True, timeout=60, check=True)
+    return json.loads(proc.stdout.splitlines()[-1])
+
+
+@pytest.mark.parametrize("args, extra, not_loaded", [
+    (["bounds"], set(), {"ingest", "stats", "hashlib", "statistics"}),
+    (["simulate", "--exhaustive", "--n", "4"], set(), {"ingest", "stats", "hashlib",
+                                                      "statistics"}),
+    (["simulate", "--n", "4", "--samples", "2"], {"ingest"}, {"stats", "hashlib"}),
+    (["sweep", "--input", str(Path(__file__).parent / "data" / "house-votes-84-sample.csv")],
+     {"ingest"}, {"stats"}),
+    ([], set(), {"ingest", "stats", "hashlib", "statistics"}),
+], ids=["bounds", "exhaustive", "monte-carlo", "sweep", "import-cli"])
+def test_command_loads_only_what_it_runs(tmp_path, bare_stdlib, args, extra, not_loaded):
+    modules, stdlib = _loaded([*args, "--out-dir", str(tmp_path / "out")] if args else [],
+                              tmp_path)
+    assert set(modules) == _STARTUP | extra
+    # loaded only if a bare interpreter loads it, as a site may
+    for name in not_loaded & set(stdlib):
+        assert not stdlib[name] or bare_stdlib[name], name
 
 
 def test_votes_format_option_is_gone(runner, sample_votes_path, tmp_path):
