@@ -6,10 +6,10 @@ Three routes in:
     swept over a threshold range. The buckets are bit-sliced
     (distance_classes), so no distance matrix is built, and one pass
     over the pairs in distance order sweeps every requested subgroup
-    (vote_sweeps): one popcount per pair turning red and subgroup
-    holding it, with the blue triangles from Goodman's degree identity,
-    so no coloring is built per threshold. sweep runs the same pass on
-    a given distance matrix;
+    (vote_sweeps): a pair turning red costs one popcount, two if it lies
+    in G and an asked party, none outside every asked subgroup, and the
+    blue triangles follow from Goodman's degree identity, so no coloring
+    is built per threshold. sweep runs the same pass on a given matrix;
   * directed weighted trade flows -> blue edges to each country's top-k
     import and export partners, red elsewhere;
   * seeded random draws, one per pair, for simulation baselines: the
@@ -17,7 +17,7 @@ Three routes in:
     coloring at one density.
 
 Parsing is strict: wrong field counts and unknown tokens fail with the
-offending line number rather than being papered over.
+line the offending row starts on rather than being papered over.
 """
 
 from __future__ import annotations
@@ -120,14 +120,14 @@ def parse_votes(lines: Iterable[str]) -> list[VoterRecord]:
 
     A first row with a `party` cell is a header: an optional `id`
     column, the `party` column, and one vote column per other column;
-    ids come from `id`, or else are the line number less one.
+    ids come from `id`, or else number the rows after the header from 1.
     Otherwise every row is a house-votes record of 17 fields, a party
-    name followed by 16 vote tokens, and ids are 1-based line numbers.
+    name followed by 16 vote tokens, and ids number the rows from 1.
     Vote tokens y/n/? normalize to Y/N/A and parties to R/D (anything
     else is kept verbatim); blank rows are skipped.
     """
-    rows = list(csv.reader(lines))
-    cols = [cell.strip().lower() for cell in rows[0]] if rows else []
+    rows = list(_csv_rows(lines))
+    cols = [cell.strip().lower() for cell in rows[0][1]] if rows else []
     if "party" in cols:
         fields, party_at, header_rows = len(cols), cols.index("party"), 1
         id_at = cols.index("id") if "id" in cols else None
@@ -138,18 +138,27 @@ def parse_votes(lines: Iterable[str]) -> list[VoterRecord]:
         fields, party_at, header_rows, id_at = _HOUSE_VOTES_FIELDS, 0, 0, None
         vote_at = range(1, _HOUSE_VOTES_FIELDS)
     records = []
-    for lineno, row in enumerate(rows[header_rows:], start=1 + header_rows):
+    for ordinal, (lineno, row) in enumerate(rows[header_rows:], start=1):
         if not "".join(row).strip():  # a blank row
             continue
         if len(row) != fields:
             raise ParseError(f"expected {fields} fields, got {len(row)}", line=lineno)
         party_tok = row[party_at].strip()
         records.append(VoterRecord(
-            id=row[id_at].strip() if id_at is not None else str(lineno - header_rows),
+            id=row[id_at].strip() if id_at is not None else str(ordinal),
             party=_PARTIES.get(party_tok.lower(), party_tok),
             votes=_normalize_votes([row[i] for i in vote_at], lineno),
         ))
     return records
+
+
+def _csv_rows(lines: Iterable[str]) -> Iterator[tuple[int, list[str]]]:
+    """Each CSV row with the line it starts on (a quoted field may span lines)."""
+    reader = csv.reader(lines)
+    end = 0
+    for row in reader:
+        yield end + 1, row
+        end = reader.line_num
 
 
 def _normalize_votes(tokens: Sequence[str], lineno: int) -> str:
@@ -315,13 +324,12 @@ def _sweep(classes: Sequence[dict[int, int]], groups: Sequence[int],
     """The sweep of each group (a vertex mask) over the pairs in classes,
     which holds, for each vertex a, its partners b > a by distance.
 
-    The threshold graphs are nested, so this is one pass over the pairs
-    in distance order, on the red rows of all the vertices. A pair
-    turning red inside a group closes one red triangle of that group per
-    common red neighbour in it, one popcount of the two red rows and the
-    group. Each group's blue count then follows from its red degrees
-    within it by Goodman's identity (census.mono_triangles). Only pairs
-    inside some group join.
+    Each group is every vertex or one party, parties are disjoint, and
+    identical groups are swept once. One pass over the pairs in distance
+    order grows red rows of only the partners sharing an asked group. A
+    pair turning red closes a red triangle per common red neighbour: one
+    popcount of the two rows, one more against the party if every
+    vertex's group is asked too. Blue follows from the red degrees.
     """
     t_min, t_max = t_range
     if t_min > t_max:
@@ -334,66 +342,68 @@ def _sweep(classes: Sequence[dict[int, int]], groups: Sequence[int],
         raise InputError(f"threshold must be >= 0, got {t_min}")
 
     n = len(classes)
-    members = [[v for v in range(n) if group >> v & 1] for group in groups]
-    # cells[a]: the vertices sharing a group with a, split by the groups
-    # (index, mask) that hold both; -1 is the mask of every vertex.
-    cells = []
-    for a in range(n):
-        split: list[tuple[int, tuple]] = [(-1, ())]
-        for i, group in enumerate(groups):
-            if group >> a & 1:
-                split = [(part, shared + ((i, group),) if inside else shared)
-                         for cell, shared in split
-                         for part, inside in ((cell & group, True), (cell & ~group, False))
-                         if part]
-        cells.append([(cell, shared) for cell, shared in split if shared])
-    # joins[t][a]: the mask of the b > a whose pair turns red at t. Pairs
-    # at or below t_min join at t_min; pairs above t_max never do.
+    everyone = (1 << n) - 1
+    masks = list(dict.fromkeys(groups))
+    whole = everyone in masks
+    members = {mask: [v for v in range(n) if mask >> v & 1] for mask in masks}
+    party = {v: mask for mask in masks if mask != everyone for v in members[mask]}
+    # joins[t][a]: the b > a sharing an asked group with a whose pair turns red at t
     joins: dict[int, dict[int, int]] = {}
     for a, by_distance in enumerate(classes):
+        keep = everyone if whole else party.get(a, 0)
         for dist, mask in by_distance.items():
-            if dist <= t_max:
+            if dist <= t_max and mask & keep:
                 at_t = joins.setdefault(max(dist, t_min), {})
-                at_t[a] = at_t.get(a, 0) | mask
+                at_t[a] = at_t.get(a, 0) | mask & keep
 
-    red = [0] * n
-    red_counts = [0] * len(groups)
-    rows: list[list] = [[] for _ in groups]
+    red, bits = [0] * n, [1 << v for v in range(n)]
+    red_counts = dict.fromkeys([0, *masks], 0)  # 0: vertices in no asked party
+    rows: dict[int, list] = {mask: [] for mask in masks}
     for t in range(t_min, t_max + 1):
         for a, new in joins.get(t, {}).items():
-            red_a = red[a]
-            bit_a = 1 << a
-            for cell, shared in cells[a]:
-                part = new & cell
-                while part:
-                    low = part & -part
-                    part ^= low
-                    b = low.bit_length() - 1
+            red_a, bit_a, own = red[a], bits[a], party.get(a, 0)
+            count = inside = 0
+            if whole:  # a pair inside a's party counts for the party too
+                same, new = new & own, new & ~own
+                while same:
+                    b = same.bit_length() - 1
+                    bit = bits[b]
+                    same ^= bit
                     common = red_a & red[b]
-                    for i, group in shared:
-                        red_counts[i] += (common & group).bit_count()
-                    red_a |= low
+                    count += common.bit_count()
+                    inside += (common & own).bit_count()
+                    red_a |= bit
                     red[b] |= bit_a
+                red_counts[own] += inside
+            while new:
+                b = new.bit_length() - 1
+                bit = bits[b]
+                new ^= bit
+                count += (red_a & red[b]).bit_count()
+                red_a |= bit
+                red[b] |= bit_a
             red[a] = red_a
-        for i, group in enumerate(groups):
-            size = sizes[i]
-            mono = mono_triangles(size, [(red[v] & group).bit_count() for v in members[i]])
-            rows[i].append((t, CliqueCensus(n=size, m=3, total=math.comb(size, 3),
-                                            red_count=red_counts[i],
-                                            blue_count=mono - red_counts[i])))
-    return [SweepTable(n=size, rows=tuple(r)) for size, r in zip(sizes, rows)]
+            red_counts[everyone if whole else own] += count
+        for mask in masks:
+            clip = whole and mask != everyone  # rows may hold outsiders
+            size, red_count = len(members[mask]), red_counts[mask]
+            mono = mono_triangles(size, [(red[v] & mask if clip else red[v]).bit_count()
+                                         for v in members[mask]])
+            census = CliqueCensus(size, 3, math.comb(size, 3), red_count, mono - red_count)
+            rows[mask].append((t, census))
+    return [SweepTable(n=size, rows=tuple(rows[group])) for size, group in zip(sizes, groups)]
 
 
 def parse_trade_flows(lines: Iterable[str]) -> list[TradeFlow]:
     """Read directed flows from CSV with header exporter,importer,volume."""
-    reader = csv.reader(lines)
-    header = next(reader, None)
+    rows = _csv_rows(lines)
+    _, header = next(rows, (1, None))
     if header is None:
         return []
     if [h.strip().lower() for h in header] != ["exporter", "importer", "volume"]:
         raise ParseError("expected header 'exporter,importer,volume'", line=1)
     flows = []
-    for lineno, row in enumerate(reader, start=2):
+    for lineno, row in rows:
         if not row or all(not cell.strip() for cell in row):
             continue
         if len(row) != 3:

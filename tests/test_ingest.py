@@ -1,3 +1,4 @@
+import io
 import time
 from fractions import Fraction
 from itertools import combinations
@@ -31,6 +32,21 @@ def test_parse_uci_errors_carry_line_numbers():
         rs.parse_votes([good, "democrat,y,n"])
     with pytest.raises(rs.ParseError, match="line 1.*'x'"):
         rs.parse_votes(["democrat," + ",".join(["x"] * 16)])
+
+
+def test_parse_votes_errors_name_the_line_a_row_starts_on():
+    votes = ",".join(["y"] * 16)
+    # a quoted party spans lines 1-2, so the short row starts on line 3
+    lines = ['"demo', f'crat",{votes}', "democrat,y,y"]
+    with pytest.raises(rs.ParseError, match=r"^line 3: expected 17 fields, got 3$"):
+        rs.parse_votes(lines)
+    with pytest.raises(rs.ParseError, match=r"^line 4: unknown vote token 'x'$"):
+        rs.parse_votes(["party,v1", '"demo', 'crat",y', "democrat,x"])
+    # default ids still number the rows, not the lines
+    recs = rs.parse_votes(lines[:2] + [f"republican,{votes}"])
+    assert [r.id for r in recs] == ["1", "2"]
+    recs = rs.parse_votes(["party,v1", '"demo', 'crat",y', "", "democrat,n"])
+    assert [(r.id, r.votes) for r in recs] == [("1", "Y"), ("3", "N")]
 
 
 def test_parse_generic():
@@ -405,6 +421,54 @@ def test_vote_sweeps_match_submatrix_sweeps(records, data):
         assert tables == [rs.sweep(d.submatrix(index[token]), t_range) for token in subgroups]
 
 
+@st.composite
+def vote_sweep_cases(draw):
+    """Records, subgroup tokens with at least 3 records each (repeats
+    allowed, party I maybe present but not asked), and a threshold
+    range whose t_max may be None."""
+    records = draw(voter_records(min_records=3))
+    largest = max(map(max, rs.hamming_matrix(records).d))
+    tokens = [token for token in "GDRI"
+              if sum(token in ("G", r.party) for r in records) >= 3]
+    subgroups = draw(st.lists(st.sampled_from(tokens), min_size=1, max_size=4))
+    t_min = draw(st.integers(0, largest + 1))
+    t_max = draw(st.none() | st.integers(t_min, largest + 2))
+    return records, subgroups, t_min, t_max
+
+
+def parties_of(parties, *votes):
+    return [rs.VoterRecord(str(i), p, v) for i, (p, v) in enumerate(zip(parties, votes))]
+
+
+SIX = records_of("YY", "YN", "NN", "AA", "YA", "NA")
+WITH_I = parties_of("DRIDRIDR", "YYN", "YNN", "NNN", "AAY", "YAY", "NAN", "YYY", "NYA")
+ALL_D = parties_of("DDDDD", "YNY", "YNN", "NNN", "YYY", "AYN")
+
+
+@settings(deadline=None)
+@given(case=vote_sweep_cases())
+@example(case=(SIX, ["D", "D"], 0, None))  # one group asked twice
+@example(case=(SIX, ["G", "D", "R"], 1, 5))  # G with the parties
+@example(case=(SIX, ["R", "D"], 0, None))  # parties without G
+@example(case=(WITH_I, ["G", "R", "D"], 0, None))  # I is in G but not asked
+@example(case=(WITH_I, ["D", "R"], 0, 2))  # I's pairs never join
+@example(case=(ALL_D, ["G", "D"], 0, None))  # D's mask is G's
+@example(case=(ALL_D, ["D", "G", "D"], 2, 4))
+def test_vote_sweeps_match_threshold_census(case):
+    # the oracle censuses each threshold coloring: no sweep runs
+    records, subgroups, t_min, t_max = case
+    d = rs.hamming_matrix(records)
+    last = max(map(max, d.d)) + 1 if t_max is None else t_max
+    tables = rs.vote_sweeps(records, (t_min, t_max), subgroups)
+    assert len(tables) == len(subgroups)
+    for token, table in zip(subgroups, tables):
+        sub = d.submatrix([i for i, r in enumerate(records) if token in ("G", r.party)])
+        assert table.n == sub.n
+        assert [t for t, _ in table.rows] == list(range(t_min, last + 1))
+        for t, census in table.rows:
+            assert census == rs.triangle_census(oracles.threshold_coloring(sub, t))
+
+
 def test_vote_sweeps_error_messages(sample_records):
     # the six sample records: D has 4, R has 2, the largest distance is 7
     cases = [
@@ -439,6 +503,18 @@ def test_parse_trade_flow_errors():
         rs.parse_trade_flows([header, "a,a,1"])  # self flow
     assert rs.parse_trade_flows([]) == []
     assert rs.parse_trade_flows([header, "", "a,b,1"])[0].volume == 1.0
+
+
+def test_parse_trade_flow_errors_name_the_line_a_row_starts_on():
+    header = "exporter,importer,volume"
+    # a quoted exporter spans lines 2-3, so the short row starts on line 4
+    with pytest.raises(rs.ParseError, match=r"^line 4: expected 3 fields, got 2$"):
+        rs.parse_trade_flows([header, '"A', 'B",C,1', "C,D"])
+    with pytest.raises(rs.ParseError, match=r"^line 4: bad volume 'x'$"):
+        rs.parse_trade_flows(io.StringIO(f'{header}\r\n"A\r\nB",C,1\r\nC,D,x\r\n',
+                                         newline=""))
+    flows = rs.parse_trade_flows([header, '"A', 'B",C,1', "C,D,2"])
+    assert [f.volume for f in flows] == [1.0, 2.0]
 
 
 def test_trade_flow_validation():
