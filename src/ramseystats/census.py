@@ -8,9 +8,9 @@ and two intersections deeper. This equals the Trace(A^3)/6 definition
 on a 214-vertex trade graph take under a second; K5 on its dense side
 takes about 20 s (2 cores, CPython 3.11).
 
-Everything here is a pure function of an immutable coloring; counts are
-exact integers and fractions are exact rationals. CliqueCensus is the
-one census type: it also carries the expected census of a random
+Everything here is a pure function of a coloring, degrees or seeds;
+counts are exact integers and fractions are exact rationals. CliqueCensus
+is the one census type: it also carries the expected census of a random
 coloring (bounds.expected_mono), and the transitivity and the red/blue
 bias of the monochromatic cliques are its properties.
 """
@@ -18,13 +18,17 @@ bias of the monochromatic cliques are its properties.
 from __future__ import annotations
 
 import math
+import random
 import sys
+from bisect import bisect_right
 from collections import Counter, defaultdict
 from contextlib import suppress
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import pairwise
 from math import comb
-from typing import Iterable
+from operator import add
+from typing import Iterable, Sequence
 
 from .coloring import Color, TwoColoring, iter_bits
 from .errors import InputError, UndefinedDensityError, UnsupportedOrderError
@@ -197,6 +201,44 @@ def _goodman(n: int, discordant: int) -> int:
     if n < 1:
         raise InputError(f"vertex count must be >= 1, got {n}")
     return comb(n, 3) - discordant // 2
+
+
+def _check_densities(n: int, ts: Sequence[float]) -> None:
+    if n < 1:
+        raise InputError(f"vertex count must be >= 1, got {n}")
+    for t in ts:
+        if not 0 <= t <= 1:
+            raise InputError(f"blue probability must be in [0, 1], got {t}")
+    if any(a > b for a, b in pairwise(ts)):
+        raise InputError("blue probabilities must be in ascending order")
+
+
+def random_mono_counts(n: int, ts: Sequence[float], seeds: Iterable[int]) -> list[list[int]]:
+    """Monochromatic triangles of ingest.random_coloring(n, t, seed) for
+    each t of the ascending ts: one list per t, one count per seed.
+
+    A seed draws as random_coloring does, once per pair in combinations
+    order, and a pair is blue at t when its draw is below t. Each draw
+    adds its pair to the degree row of the first t above it; the blue
+    degrees at t are the running sum of those rows, and a table of
+    d(n-1-d) gives Goodman's discordant sum (mono_triangles).
+    """
+    _check_densities(n, ts)
+    discordant = [d * (n - 1 - d) for d in range(n)].__getitem__
+    counts = [[] for _ in ts]
+    for seed in seeds:
+        r = random.Random(seed).random
+        turns_blue = [[0] * n for _ in range(len(ts) + 1)]  # the last row: blue at no t
+        for i in range(n):
+            for j in range(i + 1, n):
+                row = turns_blue[bisect_right(ts, r())]
+                row[i] += 1
+                row[j] += 1
+        degrees = [0] * n
+        for at_t, row in zip(counts, turns_blue):
+            degrees = list(map(add, degrees, row))
+            at_t.append(_goodman(n, sum(map(discordant, degrees))))
+    return counts
 
 
 def mono_distribution(n: int) -> dict[int, int]:

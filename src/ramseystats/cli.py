@@ -13,8 +13,8 @@ header is the row keys, and the json document embeds the same rows.
 trade's key/value summary table is its json document flattened.
 
 Each command imports the modules only it needs (ingest, stats,
-statistics) where it calls them, so bounds and simulate --exhaustive
-start without loading them.
+statistics) where it calls them, so bounds and simulate load neither
+ingest nor stats, and only Monte Carlo simulate loads statistics.
 
 Exit codes: 0 success, 2 missing input file (or an option click itself
 rejects), 3 parse failure, 4 clique search budget exceeded. Other
@@ -42,10 +42,10 @@ from .coloring import Color
 from .errors import InputError, ParseError, UndefinedDensityError
 
 OUT_DIR_ENV = "RAMSEYSTATS_OUT_DIR"
-# Monte Carlo simulate's work in units of one draw on the default grid (0.37-0.49
-# us, 2 cores, CPython 3.11.7): a sample costs C(n,2) + 26, each of its counts
-# n + 3, and each density's row 1000 for the ~2 KB it holds until written.
-# Fitted to CLI runs at the cap's corners: each takes 1-9 s and at most 54 MB.
+# Monte Carlo simulate's work in units of one draw as fitted (0.37-0.49 us): a sample
+# is charged C(n,2) + 26, each of its counts n + 3 (one costs 2-8 units at n <= 20),
+# and each density's row 1000 for the ~2 KB it holds until written. CLI runs at the
+# cap's corners take 0.5-4.7 s and at most 51 MB (2 cores, CPython 3.11.7).
 MAX_SIMULATED_WORK = 16_000_000
 # simulate --exhaustive takes about 0.2 s at n=11 and 3.5 times more per n.
 MAX_EXHAUSTIVE_N = 11
@@ -550,16 +550,11 @@ def cmd_simulate(n, t_min, t_max, t_step, samples, seed, exhaustive, fmt, out_di
                      f"units of work, above the cap of {MAX_SIMULATED_WORK}")
         import statistics
 
-        from . import ingest
-
         grid = [lo + k * step for k in range(points)]
         ts = [float(tau) for tau in grid]
         master = random.Random(seed)
-        counts = [[] for _ in grid]
-        for _ in range(samples):
-            degrees = ingest.random_blue_degrees(n, ts, master.getrandbits(63))
-            for at_t, blue in zip(counts, degrees):
-                at_t.append(census_lib.mono_triangles(n, blue))
+        counts = census_lib.random_mono_counts(
+            n, ts, (master.getrandbits(63) for _ in range(samples)))
         rows = [{
             "t": t,
             "analytic": float(bounds_lib.expected_mono(n, 3, tau).mono),

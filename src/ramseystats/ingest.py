@@ -13,8 +13,8 @@ Three routes in:
   * directed weighted trade flows -> blue edges to each country's top-k
     import and export partners, red elsewhere;
   * seeded random draws, one per pair, for simulation baselines: the
-    blue degrees at several densities from one set of draws, or the
-    coloring at one density.
+    coloring at one density (census.random_mono_counts reads the
+    monochromatic triangle counts of the same draws at many densities).
 
 Parsing is strict: wrong field counts and unknown tokens fail with the
 line the offending row starts on rather than being papered over.
@@ -25,13 +25,11 @@ from __future__ import annotations
 import csv
 import math
 import random
-from bisect import bisect_right
 from dataclasses import dataclass
-from itertools import accumulate, combinations, pairwise
-from operator import add
+from itertools import combinations
 from typing import Iterable, Iterator, Sequence
 
-from .census import CliqueCensus, mono_triangles
+from .census import CliqueCensus, _check_densities, mono_triangles
 from .coloring import TwoColoring, from_blue_edges
 from .errors import InputError, ParseError
 
@@ -124,7 +122,9 @@ def parse_votes(lines: Iterable[str]) -> list[VoterRecord]:
     Otherwise every row is a house-votes record of 17 fields, a party
     name followed by 16 vote tokens, and ids number the rows from 1.
     Vote tokens y/n/? normalize to Y/N/A and parties to R/D (anything
-    else is kept verbatim); blank rows are skipped.
+    else is kept verbatim); blank rows are skipped. Lines must keep their
+    terminators, as open(path, newline="") and io.StringIO(text, newline="")
+    yield them, or a quoted field that spans lines loses its line break.
     """
     rows = list(_csv_rows(lines))
     cols = [cell.strip().lower() for cell in rows[0][1]] if rows else []
@@ -395,7 +395,9 @@ def _sweep(classes: Sequence[dict[int, int]], groups: Sequence[int],
 
 
 def parse_trade_flows(lines: Iterable[str]) -> list[TradeFlow]:
-    """Read directed flows from CSV with header exporter,importer,volume."""
+    """Read directed flows from CSV with header exporter,importer,volume.
+
+    Lines must keep their terminators, as parse_votes says."""
     rows = _csv_rows(lines)
     _, header = next(rows, (1, None))
     if header is None:
@@ -453,16 +455,6 @@ def build_trade_graph(flows: Sequence[TradeFlow], k: int) -> TwoColoring:
     return from_blue_edges(len(countries), sorted(edges), labels=countries)
 
 
-def _check_densities(n: int, ts: Sequence[float]) -> None:
-    if n < 1:
-        raise InputError(f"vertex count must be >= 1, got {n}")
-    for t in ts:
-        if not 0 <= t <= 1:
-            raise InputError(f"blue probability must be in [0, 1], got {t}")
-    if any(a > b for a, b in pairwise(ts)):
-        raise InputError("blue probabilities must be in ascending order")
-
-
 def _pair_draws(n: int, seed: int) -> Iterator[tuple[tuple[int, int], float]]:
     """Each pair of K_n with its draw, pairs in combinations(range(n), 2)
     order, i.e. ascending (i, j).
@@ -475,24 +467,6 @@ def _pair_draws(n: int, seed: int) -> Iterator[tuple[tuple[int, int], float]]:
     r = random.Random(seed).random
     for pair in combinations(range(n), 2):
         yield pair, r()
-
-
-def random_blue_degrees(n: int, ts: Sequence[float], seed: int) -> list[list[int]]:
-    """The blue degrees of random_coloring(n, t, seed) for each t of the
-    ascending ts.
-
-    The colorings share one set of draws, so they are nested: a pair
-    blue at t is blue at every larger t. Each draw adds its pair to the
-    degree row of the first t above it; the degrees are the running sums
-    of those rows.
-    """
-    _check_densities(n, ts)
-    turns_blue = [[0] * n for _ in range(len(ts) + 1)]  # the last row: blue at no t
-    for (i, j), draw in _pair_draws(n, seed):
-        row = turns_blue[bisect_right(ts, draw)]
-        row[i] += 1
-        row[j] += 1
-    return list(accumulate(turns_blue[:-1], lambda a, b: list(map(add, a, b))))
 
 
 def random_coloring(n: int, t: float, seed: int) -> TwoColoring:

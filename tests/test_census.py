@@ -123,6 +123,55 @@ def test_mono_triangles_extremes():
         rs.mono_triangles(0, [])
 
 
+def test_random_mono_counts_validation():
+    assert rs.random_mono_counts(1, [0.5], [1]) == [[0]]
+    assert rs.random_mono_counts(6, [1.0], [1]) == [[20]]
+    assert rs.random_mono_counts(6, [0.0, 1.0], [1, 2]) == [[20, 20], [20, 20]]
+    assert rs.random_mono_counts(6, [], [1]) == []
+    assert rs.random_mono_counts(6, [0.2, 0.7], []) == [[], []]
+    with pytest.raises(rs.InputError):
+        rs.random_coloring(5, -0.1, seed=1)
+    for seeds in ([1], []):
+        for n, ts in [(0, [0.5]), (5, [0.2, 1.5]), (5, [-0.1, 0.2]), (5, [float("nan")]),
+                      (5, [0.5, 0.4]), (5, [0.0, 1.0, 0.5])]:
+            with pytest.raises(rs.InputError):
+                rs.random_mono_counts(n, ts, seeds)
+
+
+@settings(deadline=None)
+@given(
+    n=st.integers(1, 12),
+    t=st.one_of(st.sampled_from([0.0, 1.0, 0.5]), st.floats(0, 1)),
+    seed=st.integers(0, 2**63 - 1),
+)
+def test_random_mono_counts_one_t_is_random_coloring(n, t, seed):
+    [[mono]] = rs.random_mono_counts(n, [t], [seed])
+    assert mono == rs.triangle_census(rs.random_coloring(n, t, seed)).mono
+
+
+@settings(deadline=None)
+@given(
+    n=st.integers(1, 25),
+    seeds=st.lists(st.integers(0, 2**63 - 1), max_size=3),
+    ts=st.lists(st.one_of(st.sampled_from([0.0, 1.0]), st.floats(0, 1)), max_size=6),
+    repeats=st.integers(0, 3),
+    tie=st.integers(0, 299),
+)
+@example(n=25, seeds=[1, 2, 3], ts=[0.3, 0.6], repeats=2, tie=17)
+def test_random_mono_counts_are_random_colorings(n, seeds, ts, repeats, tie):
+    for seed in seeds:
+        draws = oracles.pair_draws(n, seed)
+        if draws:
+            ts.append(draws[tie % len(draws)])  # a tie: that pair is not yet blue
+    ts = sorted(ts + [0.0, 1.0] + ts[:repeats])
+    counts = rs.random_mono_counts(n, ts, iter(seeds))
+    assert counts == [[rs.mono_triangles(n, oracles.blue_degrees(n, t, seed)) for seed in seeds]
+                      for t in ts]
+    for t, at_t in zip(ts, counts):
+        assert at_t == [rs.triangle_census(rs.random_coloring(n, t, seed)).mono
+                        for seed in seeds]
+
+
 @pytest.mark.parametrize("n", range(1, 12))
 def test_mono_distribution_moments(n):
     dist = rs.mono_distribution(n)

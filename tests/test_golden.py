@@ -46,6 +46,7 @@ CASES = {
     "simulate-exhaustive-7": ["simulate", "--exhaustive", "--n", "7"],
     "simulate": ["simulate", "--n", "8", "--t-step", "0.25", "--samples", "40",
                  "--seed", "3"],
+    "simulate-grid": ["simulate", "--n", "20", "--samples", "25", "--seed", "7"],
     "bounds": ["bounds"],
     "bounds-small": ["bounds", "--n-min", "3", "--n-max", "10", "--orders", "4,5"],
 }

@@ -491,6 +491,13 @@ def test_parse_trade_flows(trade_small_path):
     assert flows[0] == rs.TradeFlow("Charlie", "Delta", 7.0)
 
 
+def test_parse_trade_flows_keeps_a_line_break_inside_quotes():
+    # lines with their terminators, as the CLI reads a file
+    text = 'exporter,importer,volume\n"A\nB",C,1\n'
+    [flow] = rs.parse_trade_flows(io.StringIO(text, newline=""))
+    assert flow == rs.TradeFlow("A\nB", "C", 1.0)
+
+
 def test_parse_trade_flow_errors():
     with pytest.raises(rs.ParseError, match="line 1"):
         rs.parse_trade_flows(["a,b,c", "x,y,1"])
@@ -617,49 +624,5 @@ def test_random_stream_regression():
     # recorded before random_coloring was built on one draw per pair
     want = ((1, 2), (1, 6), (2, 3), (2, 4), (3, 4), (5, 6))
     assert rs.random_coloring(7, 0.4, seed=11).blue_edges() == want
-    assert rs.random_blue_degrees(7, [0.4], seed=11) == [[0, 2, 3, 2, 2, 1, 2]]
-
-
-def test_random_blue_degrees_validation():
-    assert rs.random_blue_degrees(1, [0.5], seed=1) == [[0]]
-    assert rs.random_blue_degrees(6, [1.0], seed=1) == [[5] * 6]
-    assert rs.random_blue_degrees(6, [], seed=1) == []
-    with pytest.raises(rs.InputError):
-        rs.random_coloring(5, -0.1, seed=1)
-    for n, ts in [(0, [0.5]), (5, [0.2, 1.5]), (5, [-0.1, 0.2]), (5, [float("nan")]),
-                  (5, [0.5, 0.4]), (5, [0.0, 1.0, 0.5])]:
-        with pytest.raises(rs.InputError):
-            rs.random_blue_degrees(n, ts, seed=1)
-
-
-@settings(deadline=None)
-@given(
-    n=st.integers(1, 12),
-    t=st.one_of(st.sampled_from([0.0, 1.0, 0.5]), st.floats(0, 1)),
-    seed=st.integers(0, 2**63 - 1),
-)
-def test_random_blue_degrees_one_t_is_random_coloring(n, t, seed):
-    [blue] = rs.random_blue_degrees(n, [t], seed)
-    coloring = rs.random_coloring(n, t, seed)
-    assert blue == [coloring.degree(v, Color.BLUE) for v in range(n)]
-    assert sum(blue) == 2 * coloring.blue_edge_count
-
-
-@settings(deadline=None)
-@given(
-    n=st.integers(1, 25),
-    seed=st.integers(0, 2**63 - 1),
-    ts=st.lists(st.one_of(st.sampled_from([0.0, 1.0]), st.floats(0, 1)), max_size=6),
-    repeats=st.integers(0, 3),
-    tie=st.integers(0, 299),
-)
-def test_random_blue_degrees_are_random_coloring(n, seed, ts, repeats, tie):
-    draws = oracles.pair_draws(n, seed)
-    if draws:
-        ts.append(draws[tie % len(draws)])  # a tie: that pair is not yet blue
-    ts = sorted(ts + [0.0, 1.0] + ts[:repeats])
-    degrees = rs.random_blue_degrees(n, ts, seed)
-    assert degrees == [oracles.blue_degrees(n, t, seed) for t in ts]
-    for t, blue in zip(ts, degrees):
-        coloring = rs.random_coloring(n, t, seed)
-        assert blue == [coloring.degree(v, Color.BLUE) for v in range(n)]
+    assert rs.random_mono_counts(7, [0.4], [11]) == [[12]]
+    assert rs.mono_triangles(7, [0, 2, 3, 2, 2, 1, 2]) == 12  # its blue degrees

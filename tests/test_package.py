@@ -12,8 +12,8 @@ PUBLIC = [
     "chi2_vs_goodman", "clique_census", "expected_mono", "from_blue_edges",
     "goodman_fraction", "goodman_min", "hamming_matrix", "max_clique", "mono_distribution",
     "mono_triangles", "neighborhood_density", "p_value", "parse_trade_flows", "parse_votes",
-    "party_indices", "path_count", "per_vertex_triangles", "random_blue_degrees",
-    "random_coloring", "sweep", "thomason_bound", "triangle_census", "vote_sweeps",
+    "party_indices", "path_count", "per_vertex_triangles", "random_coloring",
+    "random_mono_counts", "sweep", "thomason_bound", "triangle_census", "vote_sweeps",
 ]
 
 
