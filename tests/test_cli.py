@@ -270,7 +270,86 @@ def test_votes_format_option_is_gone(runner, sample_votes_path, tmp_path):
             "--out-dir", str(tmp_path / "out"),
         ])
         assert result.exit_code == 2
-        assert "No such option" in result.output and "--votes-format" in result.output
+        assert "--votes-format" in result.output
+    assert not (tmp_path / "out").exists()
+
+
+# Command-line parsing: each case checks the exit code and that a usage
+# error names the option, not the wording of the error.
+
+
+def test_option_names_are_not_abbreviated(runner, tmp_path):
+    result = runner.invoke(main, ["bounds", "--n-mi", "3", "--out-dir", str(tmp_path / "out")])
+    assert result.exit_code == 2
+    assert "--n-mi" in result.output
+    assert not (tmp_path / "out").exists()
+
+
+def test_one_subgroup_replaces_the_default(runner, sample_votes_path, tmp_path):
+    run_ok(runner, ["sweep", "--input", str(sample_votes_path), "--subgroup", "D",
+                    "--out-dir", str(tmp_path)])
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["manifest.json", "sweep_D.csv"]
+    assert json.loads((tmp_path / "manifest.json").read_text())["config"]["subgroups"] == ["D"]
+
+
+@pytest.mark.parametrize("args, option, context", [
+    (["chi2", "--input", "absent.csv", "--kind", "votes", "--k", "5"], "--k", "--kind votes"),
+    (["simulate", "--exhaustive", "--seed", "0"], "--seed", "--exhaustive"),
+], ids=["chi2-k", "exhaustive-seed"])
+def test_option_given_at_its_default_still_excluded(runner, tmp_path, args, option, context):
+    result = runner.invoke(main, [*args, "--out-dir", str(tmp_path / "out")])
+    assert result.exit_code == 1
+    assert result.output == f"error: {option} does not apply to {context}\n"
+    assert not (tmp_path / "out").exists()
+
+
+def test_repeated_option_takes_the_last_value(runner, tmp_path):
+    run_ok(runner, ["bounds", "--n-max", "4", "--n-max", "5", "--out-dir", str(tmp_path)])
+    assert json.loads((tmp_path / "manifest.json").read_text())["config"]["n_max"] == 5
+    assert len(read_csv(tmp_path / "bounds_goodman.csv")) == 1 + 3
+
+
+def test_option_joined_to_its_value(runner, sample_votes_path, tmp_path):
+    for out, args in ((tmp_path / "joined", [f"--input={sample_votes_path}", "--subgroup=D",
+                                             "--format=json", f"--out-dir={tmp_path / 'joined'}"]),
+                      (tmp_path / "split", ["--input", str(sample_votes_path), "--subgroup", "D",
+                                            "--format", "json", "--out-dir",
+                                            str(tmp_path / "split")])):
+        run_ok(runner, ["sweep", *args])
+    assert (tmp_path / "joined" / "sweep_D.json").read_bytes() == \
+        (tmp_path / "split" / "sweep_D.json").read_bytes()
+
+
+def test_negative_count_reaches_the_program_check(runner, tmp_path):
+    result = runner.invoke(main, ["simulate", "--n", "-3", "--out-dir", str(tmp_path / "out")])
+    assert result.exit_code == 1
+    assert result.output == "error: vertex count must be >= 1, got -3\n"
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("args, named", [
+    ([], None),
+    (["census"], "census"),
+    (["sweep"], "--input"),
+    (["bounds", "--n-max", "ten"], "--n-max"),
+    (["bounds", "--format", "xml"], "--format"),
+], ids=["no-command", "unknown-command", "missing-input", "not-an-integer", "bad-format"])
+def test_usage_errors_exit_2(runner, tmp_path, monkeypatch, args, named):
+    out = tmp_path / "out"
+    monkeypatch.setenv(OUT_DIR_ENV, str(out))
+    result = runner.invoke(main, [*args, "--out-dir", str(out)] if args else [])
+    assert result.exit_code == 2
+    assert named is None or named in result.output
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", [[], ["sweep"], ["chi2"], ["trade"], ["simulate"],
+                                     ["bounds"]], ids=lambda c: c[0] if c else "main")
+def test_help_exits_0(runner, tmp_path, monkeypatch, command):
+    monkeypatch.setenv(OUT_DIR_ENV, str(tmp_path / "out"))
+    result = runner.invoke(main, [*command, "--help"])
+    assert result.exit_code == 0
+    assert "--help" in result.output
     assert not (tmp_path / "out").exists()
 
 
