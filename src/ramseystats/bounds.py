@@ -10,11 +10,10 @@ exact rationals; callers convert to floats at the reporting boundary.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import comb, ldexp
+from typing import NamedTuple
 
-from .census import CliqueCensus
 from .errors import InputError, UnsupportedOrderError
 
 
@@ -30,8 +29,7 @@ def goodman_min(n: int) -> int:
     return comb(n, 3) - n * ((n - 1) ** 2 // 4) // 2
 
 
-@dataclass(frozen=True)
-class GoodmanBound:
+class GoodmanBound(NamedTuple):
     """Forced-triangle floor for K_n, as a count and as exact fractions.
 
     `floorless_fraction` is the floor-free approximation
@@ -70,9 +68,9 @@ def thomason_bound(m: int) -> float:
     return ldexp(0.936, 1 - comb(m, 2))
 
 
-def expected_mono(n: int, m: int, t) -> CliqueCensus:
-    """Expected K_m census of a random coloring of K_n whose edges are
-    each red with probability t, independently.
+def expected_mono(n: int, m: int, t):
+    """The CliqueCensus expected of a random coloring of K_n whose edges
+    are each red with probability t, independently.
 
     red_count = C(n,m) * t^C(m,2) and blue_count is the mirror term in
     (1-t). The counts are exact rationals, so the mono sum is exactly
@@ -85,6 +83,8 @@ def expected_mono(n: int, m: int, t) -> CliqueCensus:
         raise InputError(f"need n >= m, got n={n}, m={m}")
     if not 0 <= t <= 1:
         raise InputError(f"probability t must be in [0, 1], got {float(t)}")
+    from .census import CliqueCensus  # bounds tables need no census
+
     t = Fraction(t)
     pairs = comb(m, 2)
     total = comb(n, m)

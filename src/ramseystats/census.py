@@ -23,19 +23,17 @@ import sys
 from bisect import bisect_right
 from collections import Counter, defaultdict
 from contextlib import suppress
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import pairwise
 from math import comb
 from operator import add
-from typing import Iterable, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 from .coloring import Color, TwoColoring, iter_bits
 from .errors import InputError, UndefinedDensityError, UnsupportedOrderError
 
 
-@dataclass(frozen=True)
-class CliqueCensus:
+class CliqueCensus(NamedTuple):
     """Monochromatic K_m counts by color among the C(n,m) m-vertex subsets.
 
     For a coloring (clique_census, m in {3, 4, 5}) the counts are
@@ -106,8 +104,7 @@ class CliqueCensus:
         return math.inf if self.blue_count == 0 else red / self.blue_share
 
 
-@dataclass(frozen=True)
-class MaxCliqueResult:
+class MaxCliqueResult(NamedTuple):
     """Largest single-color clique found by branch and bound.
 
     The search has two phases under one node budget: the first finds

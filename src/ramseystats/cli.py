@@ -12,33 +12,29 @@ Every output table is declared once, as a list of row dicts: the csv
 header is the row keys, and the json document embeds the same rows.
 trade's key/value summary table is its json document flattened.
 
-Each command imports the modules only it needs (ingest, stats,
-statistics) where it calls them, so bounds and simulate load neither
-ingest nor stats, and only Monte Carlo simulate loads statistics.
+Each command imports the modules only it needs (census, ingest, stats,
+statistics) where it calls them, so bounds loads none of them, simulate
+neither ingest nor stats, and only Monte Carlo simulate loads statistics.
 
-Exit codes: 0 success, 2 missing input file (or an option click itself
-rejects), 3 parse failure, 4 clique search budget exceeded. Other
-errors exit 1.
+Exit codes: 0 success, 2 missing input file (or a usage error: an
+option argparse rejects), 3 parse failure, 4 clique search budget
+exceeded. Other errors exit 1.
 """
 
 from __future__ import annotations
 
+import argparse
 import contextlib
 import io
+import os
 import random
 import sys
-from dataclasses import asdict
 from fractions import Fraction
 from math import comb, sqrt
 from pathlib import Path
 
-import click
-from click.core import ParameterSource
-
 from . import bounds as bounds_lib
-from . import census as census_lib
 from . import report
-from .coloring import Color
 from .errors import InputError, ParseError, UndefinedDensityError
 
 OUT_DIR_ENV = "RAMSEYSTATS_OUT_DIR"
@@ -55,7 +51,8 @@ MAX_BOUNDS_ROWS = 10_000
 
 
 def _fail(code: int, message: str):
-    click.echo(f"error: {message}", err=True)
+    sys.stdout.flush()  # what the command printed comes first, also on a shared terminal
+    print(f"error: {message}", file=sys.stderr)
     sys.exit(code)
 
 
@@ -100,12 +97,11 @@ def _parse_orders(text: str, minimum: int, maximum: int | None = None) -> tuple[
     return orders
 
 
-def _reject_options(names: set[str], context: str) -> None:
+def _reject_options(run, names: set[str], context: str) -> None:
     """Fail if any of the named options was given on the command line."""
-    ctx = click.get_current_context()
-    for opt in (param for param in ctx.command.params if param.name in names):
-        if ctx.get_parameter_source(opt.name) is ParameterSource.COMMANDLINE:
-            _fail(1, f"{opt.opts[0]} does not apply to {context}")
+    for flag, dest, *_ in _COMMANDS[run.command][1]:
+        if dest in names and dest in run.given:
+            _fail(1, f"{flag} does not apply to {context}")
 
 
 def _report(out: Path, fmt: str, stem: str, doc: dict, tables: dict[str, list[dict]]):
@@ -124,41 +120,40 @@ def _report(out: Path, fmt: str, stem: str, doc: dict, tables: dict[str, list[di
     return written
 
 
-def _finish(out: Path, written: list[Path], inputs: dict[str, Path], **resolved) -> None:
+def _finish(run, out: Path, written: list[Path], inputs: dict[str, Path], **resolved) -> None:
     """Write the run manifest and say how many files the command wrote.
 
-    The manifest config is the command's own options as click resolved
-    them, less the input path (hashed under inputs), with out_dir and
-    the values the command resolves itself (resolved) in their place.
+    The manifest config is the command's parameters, less the input path
+    (hashed under inputs), with out_dir and the values the command
+    resolves itself (resolved) in their place.
     """
-    ctx = click.get_current_context()
-    config = {key: value for key, value in ctx.params.items() if key != "input_path"}
+    config = {key: value for key, value in run.params.items() if key != "input_path"}
     config.update(out_dir=str(out), **resolved)
-    written.append(report.write_manifest(out, ctx.info_name, config, inputs))
-    click.echo(f"wrote {len(written)} files to {out}")
+    written.append(report.write_manifest(out, run.command, config, inputs))
+    print(f"wrote {len(written)} files to {out}")
 
 
-# Shared options. A decorator applied later lists its option earlier
-# in --help, so each group is applied bottom-up.
+# Options, in --help order: (flag, parameter name, default, type or choices,
+# help). The parameter names are the manifest's config keys. A tuple default
+# makes the option repeatable, a default of ... required, and type bool a
+# flag. main reads --out-dir's default from the environment.
+_INPUT = (("--input", "input_path", ..., Path, "Input file."),)
+_VOTES = (
+    ("--subgroup", "subgroups", ("G",), str,
+     "G (the default) for all records, or a party token (D, R); repeatable."),
+    ("--t-min", "t_min", 0, int, None),
+    ("--t-max", "t_max", None, int, "Default: largest observed distance + 1."),
+)
+_OUTPUT = (
+    ("--format", "fmt", "csv", ("csv", "json"), None),
+    ("--out-dir", "out_dir", None, str, f"Default: ${OUT_DIR_ENV} or the working directory."),
+)
+_COMMANDS = {}  # name -> (function, options)
 
-_input_option = click.option("--input", "input_path", required=True,
-                             type=click.Path(path_type=Path), help="Input file.")
 
-
-def _output_options(fn):
-    fn = click.option("--out-dir", envvar=OUT_DIR_ENV, default=".",
-                      help=f"Default: ${OUT_DIR_ENV} or the working directory.")(fn)
-    return click.option("--format", "fmt", type=click.Choice(["csv", "json"]), default="csv",
-                        show_default=True)(fn)
-
-
-def _votes_options(fn):
-    fn = click.option("--t-max", type=int, default=None,
-                      help="Default: largest observed distance + 1.")(fn)
-    fn = click.option("--t-min", type=int, default=0, show_default=True)(fn)
-    return click.option("--subgroup", "subgroups", multiple=True, default=("G",),
-                        show_default=True,
-                        help="G for all records, or a party token (D, R); repeatable.")(fn)
+def _command(name: str, *options):
+    """Register the decorated function as the subcommand name."""
+    return lambda fn: _COMMANDS.setdefault(name, (fn, options))[0]
 
 
 def _votes_sweeps(path: Path, subgroups, t_min: int, t_max: int | None):
@@ -179,21 +174,6 @@ def _votes_sweeps(path: Path, subgroups, t_min: int, t_max: int | None):
                  "per record")
     tables = ingest.vote_sweeps(records, (t_min, t_max), subgroups)
     return tables[0].rows[-1][0], list(zip(subgroups, tables))
-
-
-class _Main(click.Group):
-    """Any command reports a violated precondition as `error: ...`, exit 1."""
-
-    def invoke(self, ctx):
-        try:
-            return super().invoke(ctx)
-        except InputError as exc:
-            _fail(1, str(exc))
-
-
-@click.group(cls=_Main)
-def main():
-    """Monochromatic clique censuses and Ramsey deviation statistics."""
 
 
 # ---------------------------------------------------------------- sweep
@@ -221,13 +201,13 @@ def _sweep_report(out: Path, token: str, table, fmt: str) -> list[Path]:
         }
         for t, census in table.rows
     ]
-    click.echo(f"sweep {token}: n={table.n}, goodman floor {float(goodman.forced_fraction):.4f}")
+    print(f"sweep {token}: n={table.n}, goodman floor {float(goodman.forced_fraction):.4f}")
     body = [[row["t"], *(f"{float(row[col]):.3f}" for col in _CURVES.values())] for row in rows]
     lowest = min(row["mono_fraction"] for row in rows)
     for cells, row in zip(body, rows):
         if row["mono_fraction"] == lowest:
             cells[1] = f"[{cells[1]}]"
-    click.echo(report.format_table(["t", *_CURVES], body))
+    print(report.format_table(["t", *_CURVES], body))
 
     # the csv repeats n on every row and ends with the floor as a reference row
     floor = {**dict.fromkeys(rows[0]), "t": "goodman", "mono": goodman.forced_count,
@@ -238,16 +218,13 @@ def _sweep_report(out: Path, token: str, table, fmt: str) -> list[Path]:
     return _report(out, fmt, f"sweep_{name}", doc, {f"sweep_{name}": csv_rows})
 
 
-@main.command("sweep")
-@_input_option
-@_votes_options
-@_output_options
-def cmd_sweep(input_path, subgroups, t_min, t_max, fmt, out_dir):
+@_command("sweep", *_INPUT, *_VOTES, *_OUTPUT)
+def cmd_sweep(run, input_path, subgroups, t_min, t_max, fmt, out_dir):
     """Census every threshold graph of a votes dataset."""
     t_max, tables = _votes_sweeps(input_path, subgroups, t_min, t_max)
     out = _resolve_out_dir(out_dir)
     written = [path for token, table in tables for path in _sweep_report(out, token, table, fmt)]
-    _finish(out, written, {"votes": input_path}, t_max=t_max)
+    _finish(run, out, written, {"votes": input_path}, t_max=t_max)
 
 
 # ----------------------------------------------------------------- chi2
@@ -299,20 +276,13 @@ def _chi2_reports(observed, expected, n, df, significance) -> list[dict]:
     return rows
 
 
-@main.command("chi2")
-@_input_option
-@click.option("--kind", type=click.Choice(["votes", "trade"]), default="votes",
-              show_default=True)
-@_votes_options
-@click.option("--df", type=int, default=1, show_default=True)
-@click.option("--k", type=int, default=5, show_default=True,
-              help="Partner count for --kind trade.")
-@click.option("--significance", type=float, default=0.01, show_default=True)
-@_output_options
-def cmd_chi2(input_path, kind, subgroups, t_min, t_max, df, k, significance, fmt,
+@_command("chi2", *_INPUT, ("--kind", "kind", "votes", ("votes", "trade"), None), *_VOTES,
+          ("--df", "df", 1, int, None), ("--k", "k", 5, int, "Partner count for --kind trade."),
+          ("--significance", "significance", 0.01, float, None), *_OUTPUT)
+def cmd_chi2(run, input_path, kind, subgroups, t_min, t_max, df, k, significance, fmt,
              out_dir):
     """Chi-squared deviation reports for a votes sweep or a trade graph."""
-    _reject_options({"k"} if kind == "votes" else {"subgroups", "t_min", "t_max"},
+    _reject_options(run, {"k"} if kind == "votes" else {"subgroups", "t_min", "t_max"},
                     f"--kind {kind}")
     if not 0 < significance < 1:  # also rejects nan
         _fail(1, f"--significance must lie in (0, 1), got {significance}")
@@ -332,7 +302,7 @@ def cmd_chi2(input_path, kind, subgroups, t_min, t_max, df, k, significance, fmt
             for token, table in tables
         ]
     else:
-        from . import ingest
+        from . import census as census_lib, ingest
 
         graph = ingest.build_trade_graph(_load(input_path, ingest.parse_trade_flows, "flows"), k)
         if k > graph.n:
@@ -351,17 +321,17 @@ def cmd_chi2(input_path, kind, subgroups, t_min, t_max, df, k, significance, fmt
     out = _resolve_out_dir(out_dir)
     written = []
     for (token, n, thresholds, observed, expected), rows in zip(cases, reports):
-        click.echo(f"chi2 {token}:")
+        print(f"chi2 {token}:")
         body = [
             [r["comparison"], r["series"], f"{r['statistic']:.3f}", r["df"],
              f"{r['p_value']:.6f}", "*" if r["significant"] else ""]
             for r in rows
         ]
-        click.echo(report.format_table(
+        print(report.format_table(
             ["comparison", "series", "chi2", "df", "p", f"sig@{significance}"], body
         ))
         for note in notes:
-            click.echo(f"note: {note}")
+            print(f"note: {note}")
         name = f"chi2_{_safe_name(token)}"
         written += _report(out, fmt, name, {
             "command": "chi2",
@@ -377,24 +347,22 @@ def cmd_chi2(input_path, kind, subgroups, t_min, t_max, df, k, significance, fmt
             "notes": notes,
         }, {name: rows})
     # t_max is the resolved one for votes; for trade it is the unset option
-    _finish(out, written, {"votes" if kind == "votes" else "flows": input_path}, t_max=t_max)
+    _finish(run, out, written, {"votes" if kind == "votes" else "flows": input_path},
+            t_max=t_max)
 
 
 # ---------------------------------------------------------------- trade
 
 
-@main.command("trade")
-@_input_option
-@click.option("--k", type=int, default=5, show_default=True)
-@click.option("--orders", default="3,4,5", show_default=True,
-              help="Comma-separated clique orders to census (3..5).")
-@click.option("--density-vertex", "density_vertex", multiple=True,
-              help="Country label(s) to report blue neighborhood density for.")
-@click.option("--clique-budget", type=int, default=10**8, show_default=True)
-@_output_options
-def cmd_trade(input_path, k, orders, density_vertex, clique_budget, fmt, out_dir):
+@_command("trade", *_INPUT, ("--k", "k", 5, int, None),
+          ("--orders", "orders", "3,4,5", str, "Comma-separated clique orders to census (3..5)."),
+          ("--density-vertex", "density_vertex", (), str,
+           "Country label to report blue neighborhood density for; repeatable."),
+          ("--clique-budget", "clique_budget", 10**8, int, None), *_OUTPUT)
+def cmd_trade(run, input_path, k, orders, density_vertex, clique_budget, fmt, out_dir):
     """Census and extremal structure of a top-k trade partner graph."""
-    from . import ingest, stats
+    from . import census as census_lib, ingest, stats
+    from .coloring import Color
 
     orders = _parse_orders(orders, minimum=3, maximum=5)
     graph = ingest.build_trade_graph(_load(input_path, ingest.parse_trade_flows, "flows"), k)
@@ -464,7 +432,7 @@ def cmd_trade(input_path, k, orders, density_vertex, clique_budget, fmt, out_dir
                          "completion_ratio": tri.completion_ratio},
         "densities": densities,
         "goodman": goodman,
-        **{key: {**asdict(result), "witness": [labels[v] for v in result.witness]}
+        **{key: {**result._asdict(), "witness": [labels[v] for v in result.witness]}
            for key, result in cliques.items()},
     }
     summary = report.flatten({key: value for key, value in doc.items() if key != "census"})
@@ -474,26 +442,26 @@ def cmd_trade(input_path, k, orders, density_vertex, clique_budget, fmt, out_dir
         "trade_census": census_rows,
     })
 
-    click.echo(
+    print(
         f"trade graph: n={n}, blue edges {graph.blue_edge_count}, "
         f"mean blue degree {doc['mean_blue_degree']:.1f}"
     )
-    click.echo("top blue degrees: " + ", ".join(f"{label}={deg}" for deg, label in top))
+    print("top blue degrees: " + ", ".join(f"{label}={deg}" for deg, label in top))
     for key, result in cliques.items():
         bound = " (lower bound)" if result.is_lower_bound else ""
         witness = ": " + " ".join(doc[key]["witness"]) if key == "max_blue_clique" else ""
-        click.echo(f"{key.replace('_', ' ')} {result.size}{bound}{witness}")
+        print(f"{key.replace('_', ' ')} {result.size}{bound}{witness}")
     body = [
         [r["m"], f"{float(r['mono_fraction']):.3f}", r["reference_kind"],
          f"{r['reference']:.5f}", f"{r['chi2']:.3f}"]
         for r in census_rows
     ]
-    click.echo(report.format_table(["m", "mono", "ref_kind", "ref", "chi2"], body))
-    click.echo(f"bar chi2 {bar:.3f}, completion ratio {float(tri.completion_ratio):.3f}")
+    print(report.format_table(["m", "mono", "ref_kind", "ref", "chi2"], body))
+    print(f"bar chi2 {bar:.3f}, completion ratio {float(tri.completion_ratio):.3f}")
     for row in densities:
         shown = "undefined" if row["density"] is None else f"{row['density']:.4f}"
-        click.echo(f"blue neighborhood density of {row['label']}: {shown}")
-    _finish(out, written, {"flows": input_path}, orders=orders)
+        print(f"blue neighborhood density of {row['label']}: {shown}")
+    _finish(run, out, written, {"flows": input_path}, orders=orders)
     if any(result.is_lower_bound for result in cliques.values()):
         _fail(4, "clique search node budget exceeded; sizes are lower bounds")
 
@@ -501,20 +469,17 @@ def cmd_trade(input_path, k, orders, density_vertex, clique_budget, fmt, out_dir
 # ------------------------------------------------------------- simulate
 
 
-@main.command("simulate")
-@click.option("--n", type=int, default=20, show_default=True)
-@click.option("--t-min", type=float, default=0.0, show_default=True)
-@click.option("--t-max", type=float, default=1.0, show_default=True)
-@click.option("--t-step", type=float, default=0.05, show_default=True)
-@click.option("--samples", type=int, default=2000, show_default=True)
-@click.option("--seed", type=int, default=0, show_default=True)
-@click.option("--exhaustive", is_flag=True, default=False,
-              help="Enumerate all colorings instead of sampling (small n only).")
-@_output_options
-def cmd_simulate(n, t_min, t_max, t_step, samples, seed, exhaustive, fmt, out_dir):
+@_command("simulate", ("--n", "n", 20, int, None), ("--t-min", "t_min", 0.0, float, None),
+          ("--t-max", "t_max", 1.0, float, None), ("--t-step", "t_step", 0.05, float, None),
+          ("--samples", "samples", 2000, int, None), ("--seed", "seed", 0, int, None),
+          ("--exhaustive", "exhaustive", False, bool,
+           "Enumerate all colorings instead of sampling (small n only)."), *_OUTPUT)
+def cmd_simulate(run, n, t_min, t_max, t_step, samples, seed, exhaustive, fmt, out_dir):
     """Monte Carlo monochromatic counts against the analytic expectation."""
     if exhaustive:
-        _reject_options({"t_min", "t_max", "t_step", "samples", "seed"}, "--exhaustive")
+        _reject_options(run, {"t_min", "t_max", "t_step", "samples", "seed"}, "--exhaustive")
+    from . import census as census_lib
+
     floor = bounds_lib.goodman_min(n)
     doc = {"command": "simulate", "n": n, "goodman_floor": floor}
     stem = "simulate_exhaustive" if exhaustive else "simulate"
@@ -526,7 +491,7 @@ def cmd_simulate(n, t_min, t_max, t_step, samples, seed, exhaustive, fmt, out_di
         colorings = 2 ** comb(n, 2)
         doc.update(mode="exhaustive", colorings=colorings, min_mono=lo, max_mono=hi,
                    distribution=rows)
-        click.echo(
+        print(
             f"exhaustive n={n}: {colorings} colorings, "
             f"mono range [{lo}, {hi}], goodman floor {floor}"
         )
@@ -567,23 +532,20 @@ def cmd_simulate(n, t_min, t_max, t_step, samples, seed, exhaustive, fmt, out_di
              f"{r['stderr']:.3f}"]
             for r in rows
         ]
-        click.echo(report.format_table(["t", "analytic", "empirical", "stderr"], body))
-        click.echo(f"goodman floor {floor} monochromatic triangles at n={n}")
+        print(report.format_table(["t", "analytic", "empirical", "stderr"], body))
+        print(f"goodman floor {floor} monochromatic triangles at n={n}")
     out = _resolve_out_dir(out_dir)
     written = _report(out, fmt, stem, doc, {stem: rows})
-    _finish(out, written, {})
+    _finish(run, out, written, {})
 
 
 # --------------------------------------------------------------- bounds
 
 
-@main.command("bounds")
-@click.option("--n-min", type=int, default=3, show_default=True)
-@click.option("--n-max", type=int, default=30, show_default=True)
-@click.option("--orders", default="4,5,6", show_default=True,
-              help="Clique orders for the upper-bound table (each >= 4).")
-@_output_options
-def cmd_bounds(n_min, n_max, orders, fmt, out_dir):
+@_command("bounds", ("--n-min", "n_min", 3, int, None), ("--n-max", "n_max", 30, int, None),
+          ("--orders", "orders", "4,5,6", str,
+           "Clique orders for the upper-bound table (each >= 4)."), *_OUTPUT)
+def cmd_bounds(run, n_min, n_max, orders, fmt, out_dir):
     """Forced-floor and minimal-fraction reference tables."""
     orders = _parse_orders(orders, minimum=4)
     if n_min > n_max:
@@ -591,7 +553,7 @@ def cmd_bounds(n_min, n_max, orders, fmt, out_dir):
     rows = n_max - n_min + 1
     if rows > MAX_BOUNDS_ROWS:
         _fail(1, f"{rows} rows in n range [{n_min}, {n_max}] exceed the cap of {MAX_BOUNDS_ROWS}")
-    floors = [asdict(bounds_lib.goodman_fraction(n)) for n in range(n_min, n_max + 1)]
+    floors = [bounds_lib.goodman_fraction(n)._asdict() for n in range(n_min, n_max + 1)]
     uppers = [{"m": m, "upper_bound": bounds_lib.thomason_bound(m)} for m in orders]
     out = _resolve_out_dir(out_dir)
     written = _report(
@@ -603,9 +565,78 @@ def cmd_bounds(n_min, n_max, orders, fmt, out_dir):
          f"{float(b['asymptotic_fraction']):.4f}"]
         for b in floors[:20]
     ]
-    click.echo(report.format_table(["n", "forced", "fraction", "asymptotic"], body))
-    click.echo(", ".join(f"K{u['m']} upper bound {u['upper_bound']:.5f}" for u in uppers))
-    _finish(out, written, {}, orders=orders)
+    print(report.format_table(["n", "forced", "fraction", "asymptotic"], body))
+    print(", ".join(f"K{u['m']} upper bound {u['upper_bound']:.5f}" for u in uppers))
+    _finish(run, out, written, {}, orders=orders)
+
+
+# --------------------------------------------------------------- main
+
+
+def _parser() -> argparse.ArgumentParser:
+    """The parser of every command. No option has a default of its own
+    (argument_default=SUPPRESS), so a parse holds just the options given
+    on the command line."""
+    common = {"allow_abbrev": False, "add_help": False, "argument_default": argparse.SUPPRESS}
+    parser = argparse.ArgumentParser(
+        prog="ramseystats",
+        description="Monochromatic clique censuses and Ramsey deviation statistics.", **common)
+    parser.add_argument("--help", action="help", help="Show this message and exit.")
+    commands = parser.add_subparsers(dest="command", required=True, metavar="COMMAND")
+    for name, (fn, options) in _COMMANDS.items():
+        sub = commands.add_parser(name, help=fn.__doc__, description=fn.__doc__, **common)
+        sub.add_argument("--help", action="help", help="Show this message and exit.")
+        for flag, dest, default, kind, note in options:
+            if not isinstance(default, (bool, tuple)) and default not in (None, ...):
+                note = f"{note or ''} (default: {default})".lstrip()
+            how = ({"action": "store_true"} if kind is bool else {"choices": kind}
+                   if isinstance(kind, tuple) else {"type": kind})
+            if isinstance(default, tuple):
+                how["action"] = "append"
+            sub.add_argument(flag, dest=dest, required=default is ..., help=note, **how)
+    return parser
+
+
+def _last_values(args: list[str]) -> list[str]:
+    """args as the parser is to read them. An option takes the argument
+    after it as its value, even "-1,2" or "-inf" ("--t-min=-inf"). Given
+    twice, an option that is not repeatable keeps just its last value,
+    so only that one is checked."""
+    options = _COMMANDS[args[0]][1] if args and args[0] in _COMMANDS else ()
+    joined, last, rest = [], {}, iter(args)
+    for arg in rest:
+        for flag, _, default, kind, _ in options:
+            if kind is not bool and arg.partition("=")[0] == flag:
+                if arg == flag and (value := next(rest, None)) is not None:
+                    arg += "=" + value
+                if not isinstance(default, tuple):  # drop the value given before
+                    if flag in last:
+                        joined.remove(last[flag])
+                    last[flag] = arg
+                break
+        joined.append(arg)
+    return joined
+
+
+def main(args=None, standalone_mode=True) -> None:
+    """Run one command line (default: sys.argv[1:]). Returns on success;
+    every other outcome raises SystemExit with its exit code, whatever
+    standalone_mode, which is accepted for callers that pass it.
+
+    A command function gets its parameters, and first run: the command,
+    its parameters and the names of those given on the command line."""
+    given = vars(_parser().parse_args(_last_values(sys.argv[1:] if args is None else args)))
+    command = given.pop("command")
+    fn, options = _COMMANDS[command]
+    params = {}
+    for _, dest, default, *_ in options:
+        params[dest] = default
+    params["out_dir"] = os.environ.get(OUT_DIR_ENV) or "."  # an empty variable counts as unset
+    params.update(given)
+    try:
+        fn(argparse.Namespace(command=command, params=params, given=given), **params)
+    except InputError as exc:
+        _fail(1, str(exc))
 
 
 if __name__ == "__main__":

@@ -8,10 +8,9 @@ all-ones matrix by construction.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Iterator, NamedTuple, Sequence
 
 from .errors import InputError
 
@@ -29,35 +28,39 @@ def iter_bits(x: int) -> Iterator[int]:
         x ^= b
 
 
-@dataclass(frozen=True)
-class TwoColoring:
-    """An n-vertex complete graph with every edge colored red or blue.
-
-    `blue_rows[i]` has bit j set iff edge {i, j} is blue. Rows must be
-    symmetric with an empty diagonal; this is checked on construction.
-    Instances are immutable.
-    """
-
+class _Coloring(NamedTuple):
     n: int
     blue_rows: tuple[int, ...]
     labels: tuple[str, ...] | None = None
 
-    def __post_init__(self):
-        if self.n < 1:
-            raise InputError(f"vertex count must be >= 1, got {self.n}")
-        if len(self.blue_rows) != self.n:
+
+class TwoColoring(_Coloring):
+    """An n-vertex complete graph with every edge colored red or blue.
+
+    `blue_rows[i]` has bit j set iff edge {i, j} is blue. Rows must be
+    symmetric with an empty diagonal; this is checked on construction.
+    Instances are immutable tuples of the three fields.
+    """
+
+    def __init__(self, n, blue_rows, labels=None):
+        if n < 1:
+            raise InputError(f"vertex count must be >= 1, got {n}")
+        if len(blue_rows) != n:
             raise InputError("blue_rows length must equal vertex count")
-        full = (1 << self.n) - 1
-        for i, row in enumerate(self.blue_rows):
+        full = (1 << n) - 1
+        for i, row in enumerate(blue_rows):
             if row < 0 or row & ~full:
-                raise InputError(f"row {i} has bits outside [0, {self.n})")
+                raise InputError(f"row {i} has bits outside [0, {n})")
             if row >> i & 1:
                 raise InputError(f"loop stored at vertex {i}")
             for j in iter_bits(row >> (i + 1)):
-                if not self.blue_rows[i + 1 + j] >> i & 1:
+                if not blue_rows[i + 1 + j] >> i & 1:
                     raise InputError(f"asymmetric edge ({i}, {i + 1 + j})")
-        if self.labels is not None and len(self.labels) != self.n:
+        if labels is not None and len(labels) != n:
             raise InputError("labels length must equal vertex count")
+
+    def __setattr__(self, name, value):  # cached_property sets __dict__ directly
+        raise AttributeError(f"TwoColoring is immutable; cannot set {name!r}")
 
     @cached_property
     def red_rows(self) -> tuple[int, ...]:

@@ -25,9 +25,8 @@ from __future__ import annotations
 import csv
 import math
 import random
-from dataclasses import dataclass
 from itertools import combinations
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Iterator, NamedTuple, Sequence
 
 from .census import CliqueCensus, _check_densities, mono_triangles
 from .coloring import TwoColoring, from_blue_edges
@@ -38,53 +37,52 @@ _VOTE_TOKENS = {"y": "Y", "n": "N", "?": "A", "a": "A"}
 _PARTIES = {"republican": "R", "democrat": "D"}
 
 
-@dataclass(frozen=True)
-class VoterRecord:
+# The validating records subclass a NamedTuple of their fields and check
+# them in __init__, after the tuple is built.
+
+
+class VoterRecord(NamedTuple("VoterRecord", [("id", str), ("party", str), ("votes", str)])):
     """One categorical record: an id, a party token, and a vote string
     over the alphabet {Y, N, A} (yea, nay, anything else)."""
 
-    id: str
-    party: str
-    votes: str
+    __slots__ = ()
 
-    def __post_init__(self):
-        bad = set(self.votes) - {"Y", "N", "A"}
+    def __init__(self, id, party, votes):
+        bad = set(votes) - {"Y", "N", "A"}
         if bad:
             raise InputError(f"vote string may only contain Y/N/A, got {sorted(bad)}")
 
 
-@dataclass(frozen=True)
-class TradeFlow:
+class TradeFlow(NamedTuple("TradeFlow", [("exporter", str), ("importer", str),
+                                         ("volume", float)])):
     """One directed flow: exporter ships `volume` worth to importer."""
 
-    exporter: str
-    importer: str
-    volume: float
+    __slots__ = ()
 
-    def __post_init__(self):
-        if not self.exporter or not self.importer:
+    def __init__(self, exporter, importer, volume):
+        if not exporter or not importer:
             raise InputError("country labels must be non-empty")
-        if self.exporter == self.importer:
-            raise InputError(f"self-flow for {self.exporter!r}")
-        if not math.isfinite(self.volume) or self.volume < 0:
-            raise InputError(f"volume must be finite and >= 0, got {self.volume}")
+        if exporter == importer:
+            raise InputError(f"self-flow for {exporter!r}")
+        if not math.isfinite(volume) or volume < 0:
+            raise InputError(f"volume must be finite and >= 0, got {volume}")
 
 
-@dataclass(frozen=True)
-class DistanceMatrix:
-    """Symmetric nonnegative integer distances with a zero diagonal."""
+class DistanceMatrix(NamedTuple("DistanceMatrix", [("n", int),
+                                                   ("d", tuple[tuple[int, ...], ...]),
+                                                   ("labels", tuple[str, ...] | None)])):
+    """Symmetric nonnegative integer distances with a zero diagonal.
+    Built from the rows d alone; n is their count."""
 
-    n: int
-    d: tuple[tuple[int, ...], ...]
-    labels: tuple[str, ...] | None = None
+    __slots__ = ()
+
+    def __new__(cls, d, labels=None):
+        rows = tuple(tuple(row) for row in d)
+        return super().__new__(cls, len(rows), rows,
+                               tuple(labels) if labels is not None else None)
 
     def __init__(self, d, labels=None):
-        rows = tuple(tuple(row) for row in d)
-        object.__setattr__(self, "n", len(rows))
-        object.__setattr__(self, "d", rows)
-        object.__setattr__(
-            self, "labels", tuple(labels) if labels is not None else None
-        )
+        rows = self.d
         for i, row in enumerate(rows):
             if len(row) != self.n:
                 raise InputError(f"row {i} has {len(row)} entries, expected {self.n}")
@@ -267,8 +265,7 @@ def distance_classes(records: Sequence[VoterRecord]) -> list[dict[int, int]]:
     return classes
 
 
-@dataclass(frozen=True)
-class SweepTable:
+class SweepTable(NamedTuple):
     """The (t, census) rows of a sweep over n records, ordered by t."""
 
     n: int

@@ -11,7 +11,6 @@ from __future__ import annotations
 import csv
 import json
 import math
-from dataclasses import fields, is_dataclass
 from fractions import Fraction
 from pathlib import Path
 
@@ -31,12 +30,12 @@ def _scalar(x):
 def jsonable(obj):
     """Convert nested values into JSON-safe structures.
 
-    Fractions become floats, dataclasses dicts, tuples lists;
-    non-finite floats become strings since strict JSON has no spelling
-    for them.
+    Fractions become floats, records (NamedTuples) dicts, other tuples
+    lists; non-finite floats become strings since strict JSON has no
+    spelling for them. A record is a tuple, so it is matched first.
     """
-    if is_dataclass(obj) and not isinstance(obj, type):
-        return {f.name: jsonable(getattr(obj, f.name)) for f in fields(obj)}
+    if isinstance(obj, tuple) and hasattr(obj, "_asdict"):
+        obj = obj._asdict()
     if isinstance(obj, dict):
         return {str(k): jsonable(v) for k, v in obj.items()}
     if isinstance(obj, (list, tuple)):

@@ -17,15 +17,13 @@ census itself (`CliqueCensus.red_share`, `blue_share`, `bias_ratio`).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 from .bounds import goodman_fraction
 from .errors import DegenerateReferenceError, InputError
 
 
-@dataclass(frozen=True)
-class Chi2Report:
+class Chi2Report(NamedTuple):
     """A chi-squared statistic with its upper-tail p-value.
 
     skipped_points counts grid points excluded because the reference

@@ -1,6 +1,9 @@
+import io
 import os
 import sys
+from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
+from typing import NamedTuple
 
 import pytest
 
@@ -29,6 +32,45 @@ def house_votes_file():
         if p.is_file():
             return p
     return None
+
+
+class Result(NamedTuple):
+    exit_code: int
+    output: str  # stdout and stderr, interleaved as written
+    stdout: str
+    exception: BaseException | None  # what ended a run that did not exit 0
+
+
+class _Tee(io.StringIO):
+    """A stdout that also writes into the interleaved output."""
+
+    def __init__(self, output):
+        super().__init__()
+        self.output = output
+
+    def write(self, text):
+        self.output.write(text)
+        return super().write(text)
+
+
+class CliRunner:
+    """Runs the CLI's main(args) in process and captures what it prints."""
+
+    def invoke(self, main, args, catch_exceptions=True) -> Result:
+        output = io.StringIO()
+        stdout = _Tee(output)
+        exit_code, exception = 0, None
+        with redirect_stdout(stdout), redirect_stderr(output):
+            try:
+                main(args)
+            except SystemExit as exc:
+                exit_code = exc.code if isinstance(exc.code, int) else int(exc.code is not None)
+                exception = exc if exit_code else None
+            except Exception as exc:  # an uncaught error exits 1, as the interpreter's does
+                if not catch_exceptions:
+                    raise
+                exit_code, exception = 1, exc
+        return Result(exit_code, output.getvalue(), stdout.getvalue(), exception)
 
 
 @pytest.fixture

@@ -15,10 +15,9 @@ from itertools import combinations
 from math import comb
 
 import pytest
-from click.testing import CliRunner
 
 import oracles
-from conftest import house_votes_file
+from conftest import CliRunner, house_votes_file
 from ramseystats import (
     Color,
     chi2,

@@ -13,12 +13,12 @@ from pathlib import Path
 from statistics import fmean, stdev
 
 import pytest
-from click.testing import CliRunner
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
 import ramseystats as rs
+from conftest import CliRunner
 from ramseystats import census, cli, report
 from ramseystats.cli import OUT_DIR_ENV, main
 
@@ -212,8 +212,11 @@ def test_line_separator_inside_a_votes_id(runner, sample_votes_path, tmp_path):
 
 
 # Modules each command loads from src/; the rest load only where called.
-_STARTUP = {"bounds", "census", "cli", "coloring", "errors", "report"}
-_LOADED = """
+_STARTUP = {"bounds", "cli", "errors", "report"}
+# Checked modules from outside src/; _ALWAYS must not load for any command.
+_CHECKED = ("click", "dataclasses", "hashlib", "inspect", "statistics")
+_ALWAYS = {"click", "dataclasses", "inspect"}
+_LOADED = f"""
 import json, sys
 if sys.argv[1:]:
     from ramseystats.cli import main
@@ -221,11 +224,11 @@ if sys.argv[1:]:
 else:
     import ramseystats.cli
 print(json.dumps([sorted(m.split(".")[1] for m in sys.modules if m.startswith("ramseystats.")),
-                  {m: m in sys.modules for m in ("hashlib", "statistics")}]))
+                  {{m: m in sys.modules for m in {_CHECKED}}}]))
 """
-_STDLIB = """
+_STDLIB = f"""
 import json, sys
-print(json.dumps({m: m in sys.modules for m in ("hashlib", "statistics")}))
+print(json.dumps({{m: m in sys.modules for m in {_CHECKED}}}))
 """
 
 
@@ -246,20 +249,21 @@ def _loaded(args, tmp_path):
 
 
 @pytest.mark.parametrize("args, extra, not_loaded", [
-    (["bounds"], set(), {"ingest", "stats", "hashlib", "statistics"}),
-    (["simulate", "--exhaustive", "--n", "4"], set(), {"ingest", "stats", "hashlib",
-                                                      "statistics"}),
-    (["simulate", "--n", "4", "--samples", "2"], set(), {"ingest", "stats", "hashlib"}),
+    (["bounds"], set(), {"census", "coloring", "ingest", "stats", "hashlib", "statistics"}),
+    (["simulate", "--exhaustive", "--n", "4"], {"census", "coloring"},
+     {"ingest", "stats", "hashlib", "statistics"}),
+    (["simulate", "--n", "4", "--samples", "2"], {"census", "coloring"},
+     {"ingest", "stats", "hashlib"}),
     (["sweep", "--input", str(Path(__file__).parent / "data" / "house-votes-84-sample.csv")],
-     {"ingest"}, {"stats"}),
-    ([], set(), {"ingest", "stats", "hashlib", "statistics"}),
+     {"census", "coloring", "ingest"}, {"stats"}),
+    ([], set(), {"census", "coloring", "ingest", "stats", "hashlib", "statistics"}),
 ], ids=["bounds", "exhaustive", "monte-carlo", "sweep", "import-cli"])
 def test_command_loads_only_what_it_runs(tmp_path, bare_stdlib, args, extra, not_loaded):
     modules, stdlib = _loaded([*args, "--out-dir", str(tmp_path / "out")] if args else [],
                               tmp_path)
     assert set(modules) == _STARTUP | extra
     # loaded only if a bare interpreter loads it, as a site may
-    for name in not_loaded & set(stdlib):
+    for name in (not_loaded | _ALWAYS) & set(stdlib):
         assert not stdlib[name] or bare_stdlib[name], name
 
 
@@ -307,6 +311,10 @@ def test_repeated_option_takes_the_last_value(runner, tmp_path):
     run_ok(runner, ["bounds", "--n-max", "4", "--n-max", "5", "--out-dir", str(tmp_path)])
     assert json.loads((tmp_path / "manifest.json").read_text())["config"]["n_max"] == 5
     assert len(read_csv(tmp_path / "bounds_goodman.csv")) == 1 + 3
+    # only the last value is checked
+    run_ok(runner, ["bounds", "--format", "xml", "--n-max", "x", "--format", "json",
+                    "--n-max", "5", "--out-dir", str(tmp_path / "json")])
+    assert (tmp_path / "json" / "bounds.json").is_file()
 
 
 def test_option_joined_to_its_value(runner, sample_votes_path, tmp_path):
@@ -320,10 +328,16 @@ def test_option_joined_to_its_value(runner, sample_votes_path, tmp_path):
         (tmp_path / "split" / "sweep_D.json").read_bytes()
 
 
-def test_negative_count_reaches_the_program_check(runner, tmp_path):
-    result = runner.invoke(main, ["simulate", "--n", "-3", "--out-dir", str(tmp_path / "out")])
+@pytest.mark.parametrize("args, message", [
+    (["simulate", "--n", "-3"], "vertex count must be >= 1, got -3"),
+    (["simulate", "--t-min", "-inf"], "bad t grid values"),
+    (["bounds", "--orders", "-1,5"], "order -1 below the supported minimum 4"),
+    (["bounds", "--orders", "--n-max"], "bad orders list '--n-max'"),
+], ids=["n", "t-min", "orders", "option-name"])
+def test_value_starting_with_a_dash_reaches_the_program_check(runner, tmp_path, args, message):
+    result = runner.invoke(main, [*args, "--out-dir", str(tmp_path / "out")])
     assert result.exit_code == 1
-    assert result.output == "error: vertex count must be >= 1, got -3\n"
+    assert result.output == f"error: {message}\n"
     assert not (tmp_path / "out").exists()
 
 
@@ -875,3 +889,85 @@ def test_bounds_command(runner, tmp_path):
     ])
     assert read_csv(tmp_path / "huge" / "bounds_thomason.csv")[2] == [str(huge), "0.0"]
     assert f"K{huge} upper bound 0.00000" in result.output
+
+
+# CLI fuzz: small generated inputs (0-10 vote records over 1-16 bills,
+# 1-9 countries) and option values, valid or not, for every command.
+_FORMATS = ["csv", "json", "xml"]
+_VOTES_VALUES = {"--subgroup": ["G", "D", "R", "X", "a/b"], "--t-min": ["-1", "0", "2", "x"],
+                 "--t-max": ["-2", "0", "3", "17"], "--format": _FORMATS}
+_FUZZ_OPTIONS = {
+    "sweep": _VOTES_VALUES,
+    "chi2": {**_VOTES_VALUES, "--kind": ["votes", "trade"], "--df": ["0", "1", "3"],
+             "--k": ["0", "1", "3", "9"], "--significance": ["0.01", "0.5", "1", "nan"]},
+    "trade": {"--k": ["0", "1", "2", "5", "9"], "--orders": ["3", "3,4,5", "4,5", "2,3", "6", ""],
+              "--density-vertex": ["C0", "C3", "Nowhere"], "--clique-budget": ["0", "1", "5", "1000"],
+              "--format": _FORMATS},
+    "simulate": {"--n": ["-1", "0", "2", "3", "5", "8"], "--t-min": ["0", "0.25", "-0.5", "nan"],
+                 "--t-max": ["1", "0.5", "2"], "--t-step": ["0.25", "0.5", "0", "-1", "inf"],
+                 "--samples": ["0", "1", "2", "20"], "--seed": ["0", "7"], "--exhaustive": None,
+                 "--format": _FORMATS},
+    "bounds": {"--n-min": ["-1", "2", "3", "7"], "--n-max": ["2", "6", "40"],
+               "--orders": ["4", "4,5,6", "3", "x", "4,200"], "--format": _FORMATS},
+}
+_VOTE_ROWS = st.integers(1, 16).flatmap(lambda bills: st.lists(st.tuples(
+    st.sampled_from(["democrat", "republican"] * 4 + ["whig"]),
+    st.text("yn?", min_size=bills, max_size=bills)), max_size=10))
+_FLOWS = st.integers(1, 9).flatmap(lambda n: st.lists(st.tuples(
+    st.integers(0, n - 1), st.integers(0, n - 1), st.sampled_from([0, 1, 2.5, 1e300])),
+    min_size=1, max_size=40))
+
+
+@st.composite
+def _command_lines(draw):
+    """(command line less --input and --out-dir, input file text or None)"""
+    command = draw(st.sampled_from(sorted(_FUZZ_OPTIONS)))
+    options = _FUZZ_OPTIONS[command]
+    args = [command]
+    for flag in draw(st.lists(st.sampled_from(sorted(options)), max_size=5)):
+        args += [flag] if options[flag] is None else [flag, draw(st.sampled_from(options[flag]))]
+    if command == "simulate" and "--exhaustive" not in args:
+        args += ["--samples", draw(st.sampled_from(options["--samples"]))]  # the default is slow
+    if command in ("simulate", "bounds"):
+        return args, None
+    kinds = [value for flag, value in zip(args, args[1:]) if flag == "--kind"]
+    if command == "trade" or kinds[-1:] == ["trade"]:  # the last --kind counts
+        text = "exporter,importer,volume\n" + "".join(
+            f"C{a},C{b},{volume}\n" for a, b, volume in draw(_FLOWS) if a != b)
+    else:
+        rows = draw(_VOTE_ROWS)
+        bills = len(rows[0][1]) if rows else 1
+        text = "".join(",".join(row) + "\n" for row in [
+            ("party", *(f"v{j}" for j in range(bills))), *((party, *votes) for party, votes in rows)])
+    return args, text
+
+
+def _outputs(args, text, where: Path):
+    """Exit code, exception, output and written files of one run."""
+    full = [*args, "--out-dir", str(where / "out")]
+    if text is not None:
+        (where / "input.csv").write_text(text)
+        full += ["--input", str(where / "input.csv")]
+    result = CliRunner().invoke(main, full)
+    files = {p.name: p.read_bytes().replace(str(where).encode(), b"<w>")
+             for p in sorted((where / "out").glob("*"))}
+    return result, result.output.replace(str(where), "<w>"), files
+
+
+@settings(deadline=None, max_examples=150)
+@given(_command_lines())
+def test_cli_fuzz(command_line):
+    args, text = command_line
+    with tempfile.TemporaryDirectory() as first, tempfile.TemporaryDirectory() as second:
+        result, output, files = _outputs(args, text, Path(first))
+        assert result.exception is None or isinstance(result.exception, SystemExit), output
+        assert result.exit_code in (0, 1, 2, 3, 4)  # README's exit-code table
+        if result.exit_code in (1, 3):
+            assert len([line for line in output.splitlines() if line.startswith("error: ")]) == 1
+        for name, data in files.items():
+            assert b"nan" not in data, name
+            for line in data.splitlines():
+                assert b"inf" not in line or b"bias_ratio" in line, (name, line)
+        # the same arguments again give the same bytes
+        again = _outputs(args, text, Path(second))
+        assert (again[0].exit_code, again[1], again[2]) == (result.exit_code, output, files)

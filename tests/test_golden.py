@@ -20,9 +20,9 @@ import tempfile
 from pathlib import Path
 
 import pytest
-from click.testing import CliRunner
 
-from ramseystats import report
+from conftest import CliRunner
+from ramseystats import cli, report
 from ramseystats.cli import main
 
 DATA = Path(__file__).parent / "data"
@@ -89,7 +89,7 @@ def test_golden_outputs(case, fmt, tmp_path):
     assert got["manifest"] == want["manifest"]
     # the manifest records each option the command declares, and only
     # those; the input path is hashed under inputs instead
-    options = {param.name for param in main.commands[CASES[case][0]].params}
+    options = {dest for _, dest, *_ in cli._COMMANDS[CASES[case][0]][1]}
     assert set(got["manifest"]["config"]) == options - {"input_path", *MACHINE_FIELDS}
 
 

@@ -2,17 +2,17 @@ import csv
 import io
 import json
 import math
-from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 from ramseystats import __version__, report
 
 
-def test_jsonable_conversions():
-    @dataclass(frozen=True)
-    class Point:
-        x: Fraction
+class Point(NamedTuple):
+    x: Fraction
 
+
+def test_jsonable_conversions():
     doc = report.jsonable(
         {
             "p": Point(Fraction(1, 4)),
@@ -49,11 +49,13 @@ def test_write_csv_full_precision(tmp_path):
     assert path.read_bytes() == buf.getvalue().encode()
 
 
-def test_flatten_order_and_values():
-    @dataclass(frozen=True)
-    class Point:
-        x: Fraction
+def test_jsonable_record_inside_list_and_tuple():
+    # a record is a tuple: read as a list it would lose its field names
+    doc = report.jsonable({"rows": [Point(Fraction(1, 2))], "pair": (Point(3), (4, 5))})
+    assert doc == {"rows": [{"x": 0.5}], "pair": [{"x": 3}, [4, 5]]}
 
+
+def test_flatten_order_and_values():
     doc = {"b": [{"y": None, "x": Fraction(1, 4)}, Point(Fraction(1, 2))], "a": 1,
            "c": {}, "d": (), "e": {"z": math.inf}}
     assert report.flatten(doc) == [
