@@ -624,7 +624,7 @@ def main(args=None, standalone_mode=True) -> None:
     standalone_mode, which is accepted for callers that pass it.
 
     A command function gets its parameters, and first run: the command,
-    its parameters and the names of those given on the command line."""
+    its parameters, and given, the options given on the command line."""
     given = vars(_parser().parse_args(_last_values(sys.argv[1:] if args is None else args)))
     command = given.pop("command")
     fn, options = _COMMANDS[command]

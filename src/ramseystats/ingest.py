@@ -37,10 +37,7 @@ _VOTE_TOKENS = {"y": "Y", "n": "N", "?": "A", "a": "A"}
 _PARTIES = {"republican": "R", "democrat": "D"}
 
 
-# The validating records subclass a NamedTuple of their fields and check
-# them in __init__, after the tuple is built.
-
-
+# A validating record subclasses a NamedTuple and checks the built tuple in __init__.
 class VoterRecord(NamedTuple("VoterRecord", [("id", str), ("party", str), ("votes", str)])):
     """One categorical record: an id, a party token, and a vote string
     over the alphabet {Y, N, A} (yea, nay, anything else)."""
@@ -78,8 +75,10 @@ class DistanceMatrix(NamedTuple("DistanceMatrix", [("n", int),
 
     def __new__(cls, d, labels=None):
         rows = tuple(tuple(row) for row in d)
-        return super().__new__(cls, len(rows), rows,
-                               tuple(labels) if labels is not None else None)
+        return super().__new__(cls, len(rows), rows, None if labels is None else tuple(labels))
+
+    def __getnewargs__(self):  # copy and pickle call __new__ with these
+        return self.d, self.labels
 
     def __init__(self, d, labels=None):
         rows = self.d

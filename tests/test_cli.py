@@ -901,8 +901,8 @@ _FUZZ_OPTIONS = {
     "chi2": {**_VOTES_VALUES, "--kind": ["votes", "trade"], "--df": ["0", "1", "3"],
              "--k": ["0", "1", "3", "9"], "--significance": ["0.01", "0.5", "1", "nan"]},
     "trade": {"--k": ["0", "1", "2", "5", "9"], "--orders": ["3", "3,4,5", "4,5", "2,3", "6", ""],
-              "--density-vertex": ["C0", "C3", "Nowhere"], "--clique-budget": ["0", "1", "5", "1000"],
-              "--format": _FORMATS},
+              "--density-vertex": ["C0", "C3", "Nowhere"],
+              "--clique-budget": ["0", "1", "5", "1000"], "--format": _FORMATS},
     "simulate": {"--n": ["-1", "0", "2", "3", "5", "8"], "--t-min": ["0", "0.25", "-0.5", "nan"],
                  "--t-max": ["1", "0.5", "2"], "--t-step": ["0.25", "0.5", "0", "-1", "inf"],
                  "--samples": ["0", "1", "2", "20"], "--seed": ["0", "7"], "--exhaustive": None,
@@ -935,15 +935,15 @@ def _command_lines(draw):
         text = "exporter,importer,volume\n" + "".join(
             f"C{a},C{b},{volume}\n" for a, b, volume in draw(_FLOWS) if a != b)
     else:
-        rows = draw(_VOTE_ROWS)
-        bills = len(rows[0][1]) if rows else 1
-        text = "".join(",".join(row) + "\n" for row in [
-            ("party", *(f"v{j}" for j in range(bills))), *((party, *votes) for party, votes in rows)])
+        rows = draw(_VOTE_ROWS)  # under a header, any number of bills is one layout
+        header = ["party", *(f"v{j}" for j in range(len(rows[0][1]) if rows else 1))]
+        text = "".join(",".join(row) + "\n" for row in [header, *((p, *v) for p, v in rows)])
     return args, text
 
 
 def _outputs(args, text, where: Path):
-    """Exit code, exception, output and written files of one run."""
+    """One run's result, then its output and the files it wrote with the
+    run's directory spelled <w>."""
     full = [*args, "--out-dir", str(where / "out")]
     if text is not None:
         (where / "input.csv").write_text(text)
