@@ -24,13 +24,14 @@ from bisect import bisect_right
 from collections import Counter, defaultdict
 from contextlib import suppress
 from fractions import Fraction
-from itertools import pairwise
+from itertools import accumulate, pairwise
 from math import comb
-from operator import add
-from typing import Iterable, NamedTuple, Sequence
+from typing import TYPE_CHECKING, Iterable, NamedTuple, Sequence
 
-from .coloring import Color, TwoColoring, iter_bits
 from .errors import InputError, UndefinedDensityError, UnsupportedOrderError
+
+if TYPE_CHECKING:  # the counts from degrees and draws take no coloring
+    from .coloring import Color, TwoColoring
 
 
 class CliqueCensus(NamedTuple):
@@ -154,8 +155,8 @@ def _census(coloring: TwoColoring, m: int) -> CliqueCensus:
         n=coloring.n,
         m=m,
         total=comb(coloring.n, m),
-        red_count=_count_cliques(coloring.rows(Color.RED), full, m),
-        blue_count=_count_cliques(coloring.rows(Color.BLUE), full, m),
+        red_count=_count_cliques(coloring.red_rows, full, m),
+        blue_count=_count_cliques(coloring.blue_rows, full, m),
     )
 
 
@@ -215,26 +216,28 @@ def random_mono_counts(n: int, ts: Sequence[float], seeds: Iterable[int]) -> lis
     each t of the ascending ts: one list per t, one count per seed.
 
     A seed draws as random_coloring does, once per pair in combinations
-    order, and a pair is blue at t when its draw is below t. Each draw
-    adds its pair to the degree row of the first t above it; the blue
-    degrees at t are the running sum of those rows, and a table of
-    d(n-1-d) gives Goodman's discordant sum (mono_triangles).
+    order, and a pair is blue at t when its draw is below t. Each vertex
+    keeps one bucket row of len(ts) + 1 counts, and a draw adds its pair
+    to the bucket of the first t above it in both endpoints' rows (the
+    last bucket: blue at no t). A vertex's blue degrees at every t are
+    the running sum of its row, and a table of d(n-1-d) gives Goodman's
+    discordant sum (mono_triangles).
     """
     _check_densities(n, ts)
     discordant = [d * (n - 1 - d) for d in range(n)].__getitem__
+    triples = comb(n, 3)
     counts = [[] for _ in ts]
     for seed in seeds:
         r = random.Random(seed).random
-        turns_blue = [[0] * n for _ in range(len(ts) + 1)]  # the last row: blue at no t
-        for i in range(n):
-            for j in range(i + 1, n):
-                row = turns_blue[bisect_right(ts, r())]
-                row[i] += 1
-                row[j] += 1
-        degrees = [0] * n
-        for at_t, row in zip(counts, turns_blue):
-            degrees = list(map(add, degrees, row))
-            at_t.append(_goodman(n, sum(map(discordant, degrees))))
+        rows = [[0] * (len(ts) + 1) for _ in range(n)]
+        for i, row_i in enumerate(rows):
+            for row_j in rows[i + 1:]:
+                k = bisect_right(ts, r())
+                row_i[k] += 1
+                row_j[k] += 1
+        degrees = zip(*map(accumulate, rows))  # at each t; next() lets zip reuse its tuple
+        for at_t in counts:
+            at_t.append(triples - sum(map(discordant, next(degrees))) // 2)
     return counts
 
 
@@ -370,6 +373,8 @@ def max_clique(
     1000 by default) less the caller's frames; a search that reaches
     the limit raises InputError.
     """
+    from .coloring import iter_bits
+
     if node_budget < 1:
         raise InputError(f"clique budget must be >= 1, got {node_budget}")
     rows = coloring.rows(color)

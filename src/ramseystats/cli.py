@@ -12,9 +12,10 @@ Every output table is declared once, as a list of row dicts: the csv
 header is the row keys, and the json document embeds the same rows.
 trade's key/value summary table is its json document flattened.
 
-Each command imports the modules only it needs (census, ingest, stats,
-statistics) where it calls them, so bounds loads none of them, simulate
-neither ingest nor stats, and only Monte Carlo simulate loads statistics.
+Each command imports the modules only it needs (census, ingest, stats)
+where it calls them, so bounds loads none of them and simulate neither
+ingest nor stats. Only trade and chi2 --kind trade build a coloring and
+load coloring; no command loads statistics.
 
 Exit codes: 0 success, 2 missing input file (or a usage error: an
 option argparse rejects), 3 parse failure, 4 clique search budget
@@ -30,7 +31,8 @@ import os
 import random
 import sys
 from fractions import Fraction
-from math import comb, sqrt
+from math import comb, fsum, isqrt, ldexp, sqrt
+from operator import mul
 from pathlib import Path
 
 from . import bounds as bounds_lib
@@ -38,10 +40,11 @@ from . import report
 from .errors import InputError, ParseError, UndefinedDensityError
 
 OUT_DIR_ENV = "RAMSEYSTATS_OUT_DIR"
-# Monte Carlo simulate's work in units of one draw as fitted (0.37-0.49 us): a sample
-# is charged C(n,2) + 26, each of its counts n + 3 (one costs 2-8 units at n <= 20),
-# and each density's row 1000 for the ~2 KB it holds until written. CLI runs at the
-# cap's corners take 0.5-4.7 s and at most 51 MB (2 cores, CPython 3.11.7).
+# Monte Carlo simulate's work in units of one draw as fitted (0.34-0.37 us): a sample
+# is charged C(n,2) + 26 (its seed and call cost 36-40), each of its counts n + 3 (one
+# costs 1.7-6 units at n <= 20), and each density's row 1000 for the ~2 KB it holds
+# until written (it takes ~140). CLI runs at the cap's corners take 0.5-6.8 s and at
+# most 49 MB (2 cores, CPython 3.11.7).
 MAX_SIMULATED_WORK = 16_000_000
 # simulate --exhaustive takes about 0.2 s at n=11 and 3.5 times more per n.
 MAX_EXHAUSTIVE_N = 11
@@ -469,6 +472,22 @@ def cmd_trade(run, input_path, k, orders, density_vertex, clique_budget, fmt, ou
 # ------------------------------------------------------------- simulate
 
 
+def _stdev(xs: list[int]) -> float:
+    """statistics.stdev of two or more integers, bit for bit, from their
+    exact sums: the sample variance is (k Sxx - Sx^2) / (k (k-1)) for k
+    values, and its square root is rounded to odd on 55 or more bits
+    before the one rounding to a float, so it is correctly rounded."""
+    k, sx = len(xs), sum(xs)
+    num, den = k * sum(map(mul, xs, xs)) - sx * sx, k * (k - 1)
+    q = (num.bit_length() - den.bit_length() - 109) // 2  # scale so the root has >= 55 bits
+    if q >= 0:
+        den <<= 2 * q
+    else:
+        num <<= -2 * q
+    root = isqrt(num // den)
+    return ldexp(root | (root * root * den != num), q)
+
+
 @_command("simulate", ("--n", "n", 20, int, None), ("--t-min", "t_min", 0.0, float, None),
           ("--t-max", "t_max", 1.0, float, None), ("--t-step", "t_step", 0.05, float, None),
           ("--samples", "samples", 2000, int, None), ("--seed", "seed", 0, int, None),
@@ -513,8 +532,6 @@ def cmd_simulate(run, n, t_min, t_max, t_step, samples, seed, exhaustive, fmt, o
         if work > MAX_SIMULATED_WORK:
             _fail(1, f"n={n} with {points} densities x {samples} samples needs {work} "
                      f"units of work, above the cap of {MAX_SIMULATED_WORK}")
-        import statistics
-
         grid = [lo + k * step for k in range(points)]
         ts = [float(tau) for tau in grid]
         master = random.Random(seed)
@@ -523,8 +540,8 @@ def cmd_simulate(run, n, t_min, t_max, t_step, samples, seed, exhaustive, fmt, o
         rows = [{
             "t": t,
             "analytic": float(bounds_lib.expected_mono(n, 3, tau).mono),
-            "empirical": statistics.fmean(at_t),
-            "stderr": statistics.stdev(at_t) / sqrt(samples) if samples > 1 else 0.0,
+            "empirical": fsum(at_t) / samples,
+            "stderr": _stdev(at_t) / sqrt(samples) if samples > 1 else 0.0,
         } for tau, t, at_t in zip(grid, ts, counts)]
         doc.update(mode="monte-carlo", samples=samples, seed=seed, rows=rows)
         body = [
@@ -573,10 +590,11 @@ def cmd_bounds(run, n_min, n_max, orders, fmt, out_dir):
 # --------------------------------------------------------------- main
 
 
-def _parser() -> argparse.ArgumentParser:
-    """The parser of every command. No option has a default of its own
-    (argument_default=SUPPRESS), so a parse holds just the options given
-    on the command line."""
+def _parser(args: list[str]) -> argparse.ArgumentParser:
+    """The parser of every command, with the options of those named in
+    args: only they can run or print their help. No option has a default
+    of its own (argument_default=SUPPRESS), so a parse holds just the
+    options given on the command line."""
     common = {"allow_abbrev": False, "add_help": False, "argument_default": argparse.SUPPRESS}
     parser = argparse.ArgumentParser(
         prog="ramseystats",
@@ -585,6 +603,8 @@ def _parser() -> argparse.ArgumentParser:
     commands = parser.add_subparsers(dest="command", required=True, metavar="COMMAND")
     for name, (fn, options) in _COMMANDS.items():
         sub = commands.add_parser(name, help=fn.__doc__, description=fn.__doc__, **common)
+        if name not in args:
+            continue
         sub.add_argument("--help", action="help", help="Show this message and exit.")
         for flag, dest, default, kind, note in options:
             if not isinstance(default, (bool, tuple)) and default not in (None, ...):
@@ -625,7 +645,8 @@ def main(args=None, standalone_mode=True) -> None:
 
     A command function gets its parameters, and first run: the command,
     its parameters, and given, the options given on the command line."""
-    given = vars(_parser().parse_args(_last_values(sys.argv[1:] if args is None else args)))
+    args = _last_values(sys.argv[1:] if args is None else args)
+    given = vars(_parser(args).parse_args(args))
     command = given.pop("command")
     fn, options = _COMMANDS[command]
     params = {}

@@ -26,11 +26,13 @@ import csv
 import math
 import random
 from itertools import combinations
-from typing import Iterable, Iterator, NamedTuple, Sequence
+from typing import TYPE_CHECKING, Iterable, Iterator, NamedTuple, Sequence
 
 from .census import CliqueCensus, _check_densities, mono_triangles
-from .coloring import TwoColoring, from_blue_edges
 from .errors import InputError, ParseError
+
+if TYPE_CHECKING:  # only the trade graph and random_coloring build one
+    from .coloring import TwoColoring
 
 _HOUSE_VOTES_FIELDS = 17
 _VOTE_TOKENS = {"y": "Y", "n": "N", "?": "A", "a": "A"}
@@ -426,6 +428,8 @@ def build_trade_graph(flows: Sequence[TradeFlow], k: int) -> TwoColoring:
     set is the union over countries, so a popular country's blue degree
     can far exceed 2k. Vertices are the alphabetically sorted labels.
     """
+    from .coloring import from_blue_edges
+
     if k < 1:
         raise InputError(f"partner count must be >= 1, got {k}")
     if not flows:
@@ -468,5 +472,7 @@ def _pair_draws(n: int, seed: int) -> Iterator[tuple[tuple[int, int], float]]:
 def random_coloring(n: int, t: float, seed: int) -> TwoColoring:
     """A random coloring of K_n, each pair blue with probability t, drawn
     as _pair_draws describes: same seed, same pairs."""
+    from .coloring import from_blue_edges
+
     _check_densities(n, [t])
     return from_blue_edges(n, (pair for pair, draw in _pair_draws(n, seed) if draw < t))

@@ -172,6 +172,23 @@ def test_random_mono_counts_are_random_colorings(n, seeds, ts, repeats, tie):
                         for seed in seeds]
 
 
+@settings(deadline=None, max_examples=40)
+@given(
+    n=st.integers(1, 9),
+    seed=st.integers(0, 2**63 - 1),
+    ts=st.lists(st.floats(0, 1), min_size=200, max_size=1001),
+    repeats=st.integers(0, 50),
+)
+@example(n=9, seed=3, ts=[k / 1000 for k in range(1001)], repeats=0)
+def test_random_mono_counts_on_long_grids(n, seed, ts, repeats):
+    # each vertex's bucket row is len(ts) + 1 long; repeated densities share a bucket
+    ts = sorted(ts + ts[:repeats])
+    seeds = [seed, seed + 1]
+    counts = rs.random_mono_counts(n, ts, seeds)
+    assert counts == [[rs.mono_triangles(n, oracles.blue_degrees(n, t, s)) for s in seeds]
+                      for t in ts]
+
+
 @pytest.mark.parametrize("n", range(1, 12))
 def test_mono_distribution_moments(n):
     dist = rs.mono_distribution(n)

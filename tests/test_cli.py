@@ -8,12 +8,12 @@ import tempfile
 import time
 from collections import Counter
 from fractions import Fraction
-from math import comb, sqrt
+from math import comb, fsum, sqrt
 from pathlib import Path
 from statistics import fmean, stdev
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import oracles
@@ -215,7 +215,7 @@ def test_line_separator_inside_a_votes_id(runner, sample_votes_path, tmp_path):
 _STARTUP = {"bounds", "cli", "errors", "report"}
 # Checked modules from outside src/; _ALWAYS must not load for any command.
 _CHECKED = ("click", "dataclasses", "hashlib", "inspect", "statistics")
-_ALWAYS = {"click", "dataclasses", "inspect"}
+_ALWAYS = {"click", "dataclasses", "inspect", "statistics"}
 _LOADED = f"""
 import json, sys
 if sys.argv[1:]:
@@ -248,16 +248,17 @@ def _loaded(args, tmp_path):
     return json.loads(proc.stdout.splitlines()[-1])
 
 
+_VOTES = str(Path(__file__).parent / "data" / "house-votes-84-sample.csv")
+
+
 @pytest.mark.parametrize("args, extra, not_loaded", [
-    (["bounds"], set(), {"census", "coloring", "ingest", "stats", "hashlib", "statistics"}),
-    (["simulate", "--exhaustive", "--n", "4"], {"census", "coloring"},
-     {"ingest", "stats", "hashlib", "statistics"}),
-    (["simulate", "--n", "4", "--samples", "2"], {"census", "coloring"},
-     {"ingest", "stats", "hashlib"}),
-    (["sweep", "--input", str(Path(__file__).parent / "data" / "house-votes-84-sample.csv")],
-     {"census", "coloring", "ingest"}, {"stats"}),
-    ([], set(), {"census", "coloring", "ingest", "stats", "hashlib", "statistics"}),
-], ids=["bounds", "exhaustive", "monte-carlo", "sweep", "import-cli"])
+    (["bounds"], set(), {"hashlib"}),
+    (["simulate", "--exhaustive", "--n", "4"], {"census"}, {"hashlib"}),
+    (["simulate", "--n", "4", "--samples", "2"], {"census"}, {"hashlib"}),
+    (["sweep", "--input", _VOTES], {"census", "ingest"}, set()),
+    (["chi2", "--kind", "votes", "--input", _VOTES], {"census", "ingest", "stats"}, set()),
+    ([], set(), {"hashlib"}),
+], ids=["bounds", "exhaustive", "monte-carlo", "sweep", "chi2-votes", "import-cli"])
 def test_command_loads_only_what_it_runs(tmp_path, bare_stdlib, args, extra, not_loaded):
     modules, stdlib = _loaded([*args, "--out-dir", str(tmp_path / "out")] if args else [],
                               tmp_path)
@@ -742,6 +743,33 @@ def test_simulate_monte_carlo_matches_census_oracle(n, seed, samples, step):
         assert row["empirical"] == fmean(counts)
         want = stdev(counts) / sqrt(samples) if samples > 1 else 0.0
         assert row["stderr"] == want
+
+
+# Monte Carlo counts: at most C(5632,3), the count at the cap's largest n
+_COUNTS = st.integers(0, comb(5632, 3))
+
+
+@st.composite
+def _count_lists(draw):
+    """2-600 counts: drawn freely, all equal, or equal but one far outlier."""
+    size = draw(st.integers(2, 600))
+    shape = draw(st.sampled_from(["free", "constant", "outlier"]))
+    if shape == "free":
+        return draw(st.lists(_COUNTS, min_size=size, max_size=size))
+    xs = [draw(_COUNTS)] * size
+    if shape == "outlier":
+        xs[draw(st.integers(0, size - 1))] = draw(st.sampled_from([0, comb(5632, 3)]))
+    return xs
+
+
+@settings(deadline=None)
+@given(xs=_count_lists())
+@example(xs=[0, 0])
+@example(xs=[1, 2])
+@example(xs=[comb(5632, 3)] * 599 + [0])
+def test_simulate_mean_and_stderr_are_the_statistics_module_s(xs):
+    assert cli._stdev(xs).hex() == stdev(xs).hex()
+    assert fsum(xs) / len(xs) == fmean(xs)
 
 
 def test_simulate_exhaustive(runner, tmp_path):

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 import oracles
 import ramseystats as rs
-from ramseystats import Color, ingest
+from ramseystats import Color, coloring, ingest
 from conftest import SIX_VOTER_MATRIX
 
 
@@ -360,7 +360,8 @@ def test_sweep_far_past_the_largest_distance(sample_matrix):
 def test_sweep_builds_no_coloring(monkeypatch, sample_matrix, sample_records):
     def refuse(*args, **kwargs):
         raise AssertionError("sweep built a coloring or a distance matrix")
-    monkeypatch.setattr(ingest, "TwoColoring", refuse)
+    monkeypatch.setattr(coloring, "TwoColoring", refuse)
+    monkeypatch.setattr(coloring, "from_blue_edges", refuse)
     assert len(rs.sweep(sample_matrix, (0, 8)).rows) == 9
     monkeypatch.setattr(ingest, "DistanceMatrix", refuse)
     monkeypatch.setattr(ingest, "hamming_matrix", refuse)
