@@ -30,7 +30,7 @@ from typing import TYPE_CHECKING, Iterable, NamedTuple, Sequence
 
 from .errors import InputError, UndefinedDensityError, UnsupportedOrderError
 
-if TYPE_CHECKING:  # the counts from degrees and draws take no coloring
+if TYPE_CHECKING:  # annotations only: simulate builds no coloring and loads none
     from .coloring import Color, TwoColoring
 
 

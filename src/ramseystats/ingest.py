@@ -31,7 +31,7 @@ from typing import TYPE_CHECKING, Iterable, Iterator, NamedTuple, Sequence
 from .census import CliqueCensus, _check_densities, mono_triangles
 from .errors import InputError, ParseError
 
-if TYPE_CHECKING:  # only the trade graph and random_coloring build one
+if TYPE_CHECKING:  # annotations only: sweep builds no coloring and loads none
     from .coloring import TwoColoring
 
 _HOUSE_VOTES_FIELDS = 17

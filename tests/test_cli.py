@@ -767,7 +767,7 @@ def _count_lists(draw):
 @example(xs=[0, 0])
 @example(xs=[1, 2])
 @example(xs=[comb(5632, 3)] * 599 + [0])
-def test_simulate_mean_and_stderr_are_the_statistics_module_s(xs):
+def test_simulate_mean_and_stderr_match_statistics(xs):
     assert cli._stdev(xs).hex() == stdev(xs).hex()
     assert fsum(xs) / len(xs) == fmean(xs)
 
