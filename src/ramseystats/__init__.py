@@ -28,8 +28,8 @@ _EXPORTS = {
     **dict.fromkeys(("DegenerateReferenceError", "InputError", "ParseError",
                      "UndefinedDensityError", "UnsupportedOrderError"), "errors"),
     **dict.fromkeys(("DistanceMatrix", "SweepTable", "TradeFlow", "VoterRecord",
-                     "build_trade_graph", "hamming_matrix", "parse_trade_flows", "parse_votes",
-                     "party_indices", "random_coloring", "sweep", "vote_sweeps"), "ingest"),
+                     "build_trade_graph", "parse_trade_flows", "parse_votes", "random_coloring",
+                     "sweep", "vote_sweeps"), "ingest"),
     **dict.fromkeys(("Chi2Report", "bar_chi2", "chi2", "chi2_deviation", "chi2_vs_goodman",
                      "p_value"), "stats"),
 }

@@ -114,13 +114,15 @@ class MaxCliqueResult(NamedTuple):
     is at most the budget + 1. If the first phase runs out, size is
     only a lower bound and is_lower_bound is set; if the second does,
     size is exact but witness is the first phase's clique, which may not
-    be the smallest.
+    be the smallest. witness_is_smallest is set only when the second
+    phase finished.
     """
 
     size: int
     witness: tuple[int, ...]
     is_lower_bound: bool
     nodes_explored: int
+    witness_is_smallest: bool
 
 
 def _edges_among(rows: tuple[int, ...], cand: int) -> int:
@@ -382,7 +384,7 @@ def max_clique(
     search = _CliqueSearch(rows, node_budget)
     try:
         search.expand(full)
-        witness = search.best
+        witness, smallest = search.best, False
         with suppress(_BudgetExceeded):
             chosen: list[int] = []
             cand = full
@@ -395,13 +397,14 @@ def max_clique(
                         cand = rest
                         need -= 1
                         break
-            witness = tuple(chosen)
+            witness, smallest = tuple(chosen), True
     except _BudgetExceeded:
         return MaxCliqueResult(
             size=search.best_size,
             witness=search.best,
             is_lower_bound=True,
             nodes_explored=search.nodes,
+            witness_is_smallest=False,
         )
     except RecursionError:
         raise InputError(
@@ -413,6 +416,7 @@ def max_clique(
         witness=witness,
         is_lower_bound=False,
         nodes_explored=search.nodes,
+        witness_is_smallest=smallest,
     )
 
 

@@ -9,7 +9,8 @@ Three routes in:
     (vote_sweeps): a pair turning red costs one popcount, two if it lies
     in G and an asked party, none outside every asked subgroup, and the
     blue triangles follow from Goodman's degree identity, so no coloring
-    is built per threshold. sweep runs the same pass on a given matrix;
+    is built per threshold. sweep runs the same pass on a caller's own
+    distance matrix;
   * directed weighted trade flows -> blue edges to each country's top-k
     import and export partners, red elsewhere;
   * seeded random draws, one per pair, for simulation baselines: the
@@ -97,20 +98,6 @@ class DistanceMatrix(NamedTuple("DistanceMatrix", [("n", int),
         if self.labels is not None and len(self.labels) != self.n:
             raise InputError(f"{len(self.labels)} labels for {self.n} rows")
 
-    def submatrix(self, indices: Sequence[int]) -> "DistanceMatrix":
-        """Induced distance matrix on the given distinct vertex indices."""
-        idx = list(indices)
-        if not idx:
-            raise InputError("submatrix needs at least one index")
-        if len(set(idx)) != len(idx):
-            raise InputError("submatrix indices must be distinct")
-        for v in idx:
-            if not 0 <= v < self.n:
-                raise InputError(f"index {v} out of range for n={self.n}")
-        rows = [[self.d[i][j] for j in idx] for i in idx]
-        labels = None if self.labels is None else [self.labels[i] for i in idx]
-        return DistanceMatrix(rows, labels=labels)
-
 
 def parse_votes(lines: Iterable[str]) -> list[VoterRecord]:
     """Parse vote records from CSV lines; the first row picks the layout.
@@ -170,55 +157,11 @@ def _normalize_votes(tokens: Sequence[str], lineno: int) -> str:
     return "".join(out)
 
 
-def party_indices(records: Sequence[VoterRecord], party: str) -> list[int]:
-    """Vertex indices of the records carrying exactly this party token."""
-    return [i for i, r in enumerate(records) if r.party == party]
-
-
-def hamming_matrix(records: Sequence[VoterRecord]) -> DistanceMatrix:
-    """Pairwise count of differing vote positions.
-
-    A is an ordinary third symbol: it matches only another A. Each
-    record becomes two bitmasks (positions voting Y, positions voting
-    N; an A is in neither), and two records differ exactly where one of
-    the masks differs, so the distance is one popcount per pair.
-    """
-    n = len(records)
-    if n == 0:
-        return DistanceMatrix(())
-    length = _vote_length(records)
-    masks = []
-    for r in records:
-        y = nay = 0
-        for pos, ch in enumerate(r.votes):
-            if ch == "Y":
-                y |= 1 << pos
-            elif ch == "N":
-                nay |= 1 << pos
-        masks.append((y, nay))
-    d = [[0] * n for _ in range(n)]
-    for i in range(n):
-        yi, ni = masks[i]
-        for j in range(i + 1, n):
-            yj, nj = masks[j]
-            d[i][j] = d[j][i] = ((yi ^ yj) | (ni ^ nj)).bit_count()
-    return DistanceMatrix(d, labels=[r.id for r in records])
-
-
-def _vote_length(records: Sequence[VoterRecord]) -> int:
-    """The vote count shared by every record."""
-    length = len(records[0].votes)
-    for r in records:
-        if len(r.votes) != length:
-            raise InputError(
-                f"record {r.id!r} has length {len(r.votes)}, expected {length}"
-            )
-    return length
-
-
 def distance_classes(records: Sequence[VoterRecord]) -> list[dict[int, int]]:
     """classes[a][d]: the bitmask of the records b > a at Hamming
-    distance exactly d from record a, for each d that occurs.
+    distance exactly d from record a, for each d that occurs. The
+    distance counts the positions where two votes differ; A is an
+    ordinary third symbol, matching only another A.
 
     Bit-sliced, with no loop over pairs: each (bill, vote) gets the
     mask of the records voting otherwise on that bill, and for record a
@@ -230,7 +173,10 @@ def distance_classes(records: Sequence[VoterRecord]) -> list[dict[int, int]]:
     n = len(records)
     if n == 0:
         return []
-    length = _vote_length(records)
+    length = len(records[0].votes)
+    for r in records:
+        if len(r.votes) != length:
+            raise InputError(f"record {r.id!r} has length {len(r.votes)}, expected {length}")
     everyone = (1 << n) - 1
     voted = [dict.fromkeys("YNA", 0) for _ in range(length)]
     for i, r in enumerate(records):
@@ -294,11 +240,10 @@ def vote_sweeps(records: Sequence[VoterRecord], t_range: tuple[int, int | None],
     """One sweep per subgroup token, in the order given: G stands for
     every record, any other token for the records of that party.
 
-    Each table equals sweep(hamming_matrix(records).submatrix(idx),
-    t_range) for the subgroup's indices idx, but no distance matrix is
-    built: distance_classes gives the pairs by distance, and one pass
-    over them sweeps every subgroup. A t_max of None means the largest
-    distance + 1.
+    Each table equals sweep(d, t_range) for the Hamming distance matrix
+    d of the subgroup's records, but no distance matrix is built:
+    distance_classes gives the pairs by distance, and one pass over them
+    sweeps every subgroup. A t_max of None means the largest distance + 1.
     """
     groups = []
     for token in subgroups:

@@ -9,6 +9,7 @@ import pytest
 
 sys.path.insert(0, str(Path(__file__).parent))
 
+import oracles
 import ramseystats as rs
 
 DATA = Path(__file__).parent / "data"
@@ -85,7 +86,7 @@ def sample_records(sample_votes_path):
 
 @pytest.fixture
 def sample_matrix(sample_records):
-    return rs.hamming_matrix(sample_records)
+    return oracles.hamming_matrix(sample_records)
 
 
 @pytest.fixture

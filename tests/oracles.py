@@ -9,7 +9,7 @@ small n.
 import random
 from itertools import combinations
 
-from ramseystats import Color, InputError, TwoColoring, from_blue_edges
+from ramseystats import Color, DistanceMatrix, InputError, TwoColoring, from_blue_edges
 
 
 def adjacency(coloring, color):
@@ -148,6 +148,23 @@ def goodman_min(n):
 def hamming(a, b):
     assert len(a) == len(b)
     return sum(1 for x, y in zip(a, b) if x != y)
+
+
+def hamming_matrix(records):
+    """Every pair's count of differing vote positions, labelled by id."""
+    return DistanceMatrix([[hamming(a.votes, b.votes) for b in records] for a in records],
+                          labels=[r.id for r in records])
+
+
+def subgroup_indices(records, token):
+    """Indices of a vote_sweeps subgroup: every record for G, else the
+    records of that party."""
+    return [i for i, r in enumerate(records) if token in ("G", r.party)]
+
+
+def submatrix(d, indices):
+    """The distances among the given vertices, in the order given."""
+    return DistanceMatrix([[d.d[i][j] for j in indices] for i in indices])
 
 
 def top_k_blue_pairs(flows, k):

@@ -101,11 +101,7 @@ def test_criterion_03_voting_reproduction():
     assert len(records) == SUBGROUP_N["G"]
 
     start = time.perf_counter()
-    dist = ingest.hamming_matrix(records)
-    tables = {}
-    for token in ("G", "D", "R"):
-        sub = dist if token == "G" else dist.submatrix(ingest.party_indices(records, token))
-        tables[token] = ingest.sweep(sub, (0, 17))
+    tables = dict(zip("GDR", ingest.vote_sweeps(records, (0, 17), ["G", "D", "R"])))
     elapsed = time.perf_counter() - start
     assert elapsed < 30.0
 

@@ -289,7 +289,7 @@ def test_max_clique_witness_is_lex_smallest():
 def test_max_clique_budget_abort():
     c = rs.random_coloring(30, 0.5, seed=9)
     out = rs.max_clique(c, Color.BLUE, node_budget=2)
-    assert out.is_lower_bound
+    assert out.is_lower_bound and not out.witness_is_smallest
     assert out.nodes_explored >= 2
     exact = rs.max_clique(c, Color.BLUE)
     assert not exact.is_lower_bound
@@ -324,7 +324,23 @@ def test_max_clique_search_tree_is_pinned():
     assert (r.size, r.witness, r.nodes_explored) == (
         14, (6, 7, 11, 14, 18, 28, 29, 31, 32, 40, 42, 44, 49, 52), 1001
     )
-    assert not r.is_lower_bound
+    assert not r.is_lower_bound and r.witness_is_smallest
+
+
+def test_max_clique_says_when_the_witness_phase_runs_out():
+    # the size phase's first maximum clique here is not the smallest
+    c = rs.random_coloring(9, 0.3, seed=0)
+    size_phase = census._CliqueSearch(c.rows(Color.RED), 10**8)
+    size_phase.expand((1 << c.n) - 1)
+    # a budget the size phase uses up: the first witness query runs out
+    cut = rs.max_clique(c, Color.RED, node_budget=size_phase.nodes)
+    assert (cut.size, cut.witness) == (size_phase.best_size, size_phase.best)
+    assert not cut.is_lower_bound and not cut.witness_is_smallest
+    assert cut.nodes_explored == size_phase.nodes + 1
+    full = rs.max_clique(c, Color.RED, node_budget=10**6)
+    assert full.witness_is_smallest and not full.is_lower_bound
+    assert (full.size, full.witness) == oracles.max_clique(c, Color.RED)
+    assert full.witness != cut.witness
 
 
 @settings(deadline=None)
@@ -341,6 +357,8 @@ def test_max_clique_budget_caps_the_whole_search(n, p, seed, color, budget):
     full = rs.max_clique(c, color)
     got = rs.max_clique(c, color, node_budget=budget)
     assert got.nodes_explored <= budget + 1
+    assert full.witness_is_smallest
+    assert got.witness_is_smallest == (budget >= full.nodes_explored)
     if budget >= full.nodes_explored:
         assert got == full
     elif got.is_lower_bound:

@@ -249,6 +249,8 @@ def _loaded(args, tmp_path):
 
 
 _VOTES = str(Path(__file__).parent / "data" / "house-votes-84-sample.csv")
+_TRADE = str(Path(__file__).parent / "data" / "trade-small.csv")
+_TRADE_MODULES = {"census", "coloring", "ingest", "stats"}
 
 
 @pytest.mark.parametrize("args, extra, not_loaded", [
@@ -257,8 +259,11 @@ _VOTES = str(Path(__file__).parent / "data" / "house-votes-84-sample.csv")
     (["simulate", "--n", "4", "--samples", "2"], {"census"}, {"hashlib"}),
     (["sweep", "--input", _VOTES], {"census", "ingest"}, set()),
     (["chi2", "--kind", "votes", "--input", _VOTES], {"census", "ingest", "stats"}, set()),
+    (["trade", "--input", _TRADE], _TRADE_MODULES, set()),
+    (["chi2", "--kind", "trade", "--input", _TRADE], _TRADE_MODULES, set()),
     ([], set(), {"hashlib"}),
-], ids=["bounds", "exhaustive", "monte-carlo", "sweep", "chi2-votes", "import-cli"])
+], ids=["bounds", "exhaustive", "monte-carlo", "sweep", "chi2-votes", "trade", "chi2-trade",
+        "import-cli"])
 def test_command_loads_only_what_it_runs(tmp_path, bare_stdlib, args, extra, not_loaded):
     modules, stdlib = _loaded([*args, "--out-dir", str(tmp_path / "out")] if args else [],
                               tmp_path)

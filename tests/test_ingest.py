@@ -1,4 +1,5 @@
 import io
+import random
 import time
 from fractions import Fraction
 from itertools import combinations
@@ -141,10 +142,12 @@ def test_both_layouts_parse_alike(records, header):
         assert [r.id for r in recs] == ids
 
 
-def test_party_indices(sample_records):
-    assert rs.party_indices(sample_records, "R") == [0, 1]
-    assert rs.party_indices(sample_records, "D") == [2, 3, 4, 5]
-    assert rs.party_indices(sample_records, "X") == []
+def classes_of(d):
+    """distance_classes' layout read off the rows of a distance matrix."""
+    want = [{} for _ in d]
+    for a, b in combinations(range(len(d)), 2):
+        want[a][d[a][b]] = want[a].get(d[a][b], 0) | 1 << b
+    return want
 
 
 def test_hamming_matrix_definition_example():
@@ -153,46 +156,41 @@ def test_hamming_matrix_definition_example():
         rs.VoterRecord(id="1", party="?", votes="NNNYN"),
         rs.VoterRecord(id="2", party="?", votes="NYNNY"),
     ]
-    assert rs.hamming_matrix(recs).d[0][1] == 3
+    assert oracles.hamming_matrix(recs).d[0][1] == 3
+    assert ingest.distance_classes(recs) == [{3: 0b10}, {}]
 
 
-def test_hamming_matrix_six_voters(sample_matrix):
+def test_hamming_matrix_six_voters(sample_matrix, sample_records):
+    # the oracle's matrix, which the sweep tests read, and the kernel's classes
     assert sample_matrix.d == SIX_VOTER_MATRIX
     assert sample_matrix.n == 6
     assert sample_matrix.labels == tuple("123456")
+    assert ingest.distance_classes(sample_records) == classes_of(SIX_VOTER_MATRIX)
 
 
-def test_hamming_is_a_metric(sample_matrix):
-    d = sample_matrix.d
-    n = sample_matrix.n
+def test_hamming_is_a_metric(sample_records):
+    classes = ingest.distance_classes(sample_records)
+    n = len(classes)
+    d = [[0] * n for _ in range(n)]
+    for a, by_distance in enumerate(classes):
+        # each b > a lies in exactly one class of a
+        assert sum(mask.bit_count() for mask in by_distance.values()) == n - 1 - a
+        for dist, mask in by_distance.items():
+            for b in range(n):
+                if mask >> b & 1:
+                    d[a][b] = d[b][a] = dist
     for i in range(n):
-        assert d[i][i] == 0
         for j in range(n):
-            assert d[i][j] == d[j][i]
             for k in range(n):
                 assert d[i][k] <= d[i][j] + d[j][k]
 
 
 def test_hamming_a_is_ordinary(sample_records):
     # A matches only another A
-    r = oracles.hamming(sample_records[0].votes, sample_records[1].votes)
-    assert r == 3
-
-
-@st.composite
-def vote_strings(draw):
-    """Equally long Y/N/A strings, some past 64 positions, some all A."""
-    length = draw(st.integers(1, 70))
-    record = st.text("YNA", min_size=length, max_size=length) | st.just("A" * length)
-    return draw(st.lists(record, min_size=1, max_size=8))
-
-
-@given(votes=vote_strings())
-@example(votes=["AAAAA"] * 3)
-@example(votes=["AYN", "AAA", "NYA"])
-def test_hamming_matrix_matches_oracle(votes):
-    d = rs.hamming_matrix([rs.VoterRecord(str(i), "?", v) for i, v in enumerate(votes)])
-    assert d.d == tuple(tuple(oracles.hamming(a, b) for b in votes) for a in votes)
+    assert oracles.hamming(sample_records[0].votes, sample_records[1].votes) == 3
+    assert ingest.distance_classes(sample_records)[0][3] & 0b10
+    recs = [rs.VoterRecord(str(i), "?", v) for i, v in enumerate(["AA", "AY", "YY"])]
+    assert ingest.distance_classes(recs) == [{1: 0b10, 2: 0b100}, {1: 0b100}, {}]
 
 
 def test_hamming_length_mismatch():
@@ -200,8 +198,8 @@ def test_hamming_length_mismatch():
         rs.VoterRecord(id="1", party="?", votes="YN"),
         rs.VoterRecord(id="2", party="?", votes="YNA"),
     ]
-    with pytest.raises(rs.InputError):
-        rs.hamming_matrix(recs)
+    with pytest.raises(rs.InputError, match="^record '2' has length 3, expected 2$"):
+        ingest.distance_classes(recs)
 
 
 def test_distance_matrix_validation():
@@ -213,19 +211,6 @@ def test_distance_matrix_validation():
         rs.DistanceMatrix(((0, -1), (-1, 0)))
     with pytest.raises(rs.InputError):
         rs.DistanceMatrix(((0, 1), (1, 0)), labels=("a",))
-
-
-def test_submatrix(sample_matrix):
-    sub = sample_matrix.submatrix([2, 3, 4, 5])
-    assert sub.n == 4
-    assert sub.d[0][1] == SIX_VOTER_MATRIX[2][3]
-    assert sub.labels == ("3", "4", "5", "6")
-    with pytest.raises(rs.InputError):
-        sample_matrix.submatrix([])
-    with pytest.raises(rs.InputError):
-        sample_matrix.submatrix([0, 0])
-    with pytest.raises(rs.InputError):
-        sample_matrix.submatrix([9])
 
 
 def test_threshold_coloring_strict(sample_matrix):
@@ -277,15 +262,15 @@ def test_sweep_single_point_equals_direct_census(sample_matrix):
 
 
 def test_sweep_subgroup(sample_matrix, sample_records):
-    idx = rs.party_indices(sample_records, "D")
-    table = rs.sweep(sample_matrix.submatrix(idx), (0, 6))
+    idx = oracles.subgroup_indices(sample_records, "D")
+    table = rs.sweep(oracles.submatrix(sample_matrix, idx), (0, 6))
     assert table.n == 4
     # Democrats' pairwise distances all <= 5, so t=5 is all red
     assert table.rows[5][1].mono_fraction == 1
-    with pytest.raises(rs.InputError):
-        rs.sweep(sample_matrix.submatrix([]), (0, 2))
+    with pytest.raises(rs.InputError, match="at least 3 records, got 0"):
+        rs.sweep(rs.DistanceMatrix([]), (0, 2))
     with pytest.raises(rs.InputError, match="at least 3 records, got 2"):
-        rs.sweep(sample_matrix.submatrix(idx[:2]), (0, 2))
+        rs.sweep(oracles.submatrix(sample_matrix, idx[:2]), (0, 2))
     with pytest.raises(rs.InputError):
         rs.sweep(sample_matrix, (3, 2))
 
@@ -322,7 +307,7 @@ PATH = rs.DistanceMatrix([[abs(i - j) for j in range(5)] for i in range(5)])
 @example(case=(PATH, (5, 8), [3, 1, 4, 0]))
 def test_sweep_matches_per_threshold_census(case):
     d, (t_min, t_max), subgroup = case
-    sub = d if subgroup is None else d.submatrix(subgroup)
+    sub = d if subgroup is None else oracles.submatrix(d, subgroup)
     table = rs.sweep(sub, (t_min, t_max))
     assert table.n == sub.n
     assert [t for t, _ in table.rows] == list(range(t_min, t_max + 1))
@@ -334,14 +319,12 @@ def test_sweep_error_messages(sample_matrix):
     cases = [
         ((-1, 3), None, "threshold must be >= 0, got -1"),
         ((3, 2), None, "empty threshold range [3, 2]"),
-        ((0, 3), [], "submatrix needs at least one index"),
-        ((0, 3), [1, 1, 2], "submatrix indices must be distinct"),
         ((0, 3), [1, 2], "a sweep needs at least 3 records, got 2"),
     ]
     for t_range, subgroup, message in cases:
         with pytest.raises(rs.InputError) as err:
-            rs.sweep(sample_matrix if subgroup is None else sample_matrix.submatrix(subgroup),
-                     t_range)
+            rs.sweep(sample_matrix if subgroup is None
+                     else oracles.submatrix(sample_matrix, subgroup), t_range)
         assert str(err.value) == message
 
 
@@ -364,16 +347,16 @@ def test_sweep_builds_no_coloring(monkeypatch, sample_matrix, sample_records):
     monkeypatch.setattr(coloring, "from_blue_edges", refuse)
     assert len(rs.sweep(sample_matrix, (0, 8)).rows) == 9
     monkeypatch.setattr(ingest, "DistanceMatrix", refuse)
-    monkeypatch.setattr(ingest, "hamming_matrix", refuse)
     tables = rs.vote_sweeps(sample_records, (0, None), ["G", "D"])
     assert [len(table.rows) for table in tables] == [9, 9]
 
 
 @st.composite
-def voter_records(draw, min_records=1):
-    """Records of 1-40 votes (counts of 1-6 bit-planes), some all A,
-    some repeated, each with a party drawn from D, R and I."""
-    length = draw(st.integers(1, 40))
+def voter_records(draw, min_records=1, max_length=40):
+    """Records of 1 to max_length votes (40 needs 6 bit-planes per
+    count, 70 needs 7), some all A, some repeated, each with a party
+    drawn from D, R and I."""
+    length = draw(st.integers(1, max_length))
     vote = st.text("YNA", min_size=length, max_size=length) | st.just("A" * length)
     distinct = draw(st.lists(vote, min_size=1, max_size=8))
     votes = draw(st.lists(st.sampled_from(distinct), min_size=min_records, max_size=12))
@@ -385,26 +368,41 @@ def records_of(*votes):
     return [rs.VoterRecord(str(i), "DR"[i % 2], v) for i, v in enumerate(votes)]
 
 
-@given(records=voter_records())
+def seeded_records(count, length, seed):
+    """count records, drawn from count // 2 distinct seeded vote strings
+    (so some repeat), each with a seeded party from D, R and I."""
+    rnd = random.Random(seed)
+    distinct = ["".join(rnd.choices("YNA", k=length)) for _ in range(count // 2)]
+    return [rs.VoterRecord(str(i), rnd.choice("DRI"), rnd.choice(distinct))
+            for i in range(count)]
+
+
+# Rows over more than 60 records span three or more 30-bit digits.
+LONG = seeded_records(75, 16, seed=1)
+
+
+@settings(deadline=None)
+@given(records=voter_records(max_length=70))
 @example(records=records_of("YNA"))
 @example(records=records_of("A" * 7, "A" * 7))
 @example(records=records_of("Y" * 16, "N" * 16, "A" * 16))
 @example(records=records_of("YN" * 20, "NY" * 20, "YN" * 20, "A" * 40))
+@example(records=records_of("AYN", "AAA", "NYA"))
+@example(records=records_of("Y" * 70, "N" * 70, "A" * 70, "YN" * 35))  # 7 bit-planes
+@example(records=LONG)
+@example(records=seeded_records(100, 70, seed=2))
 def test_distance_classes_match_hamming_matrix(records):
-    d = rs.hamming_matrix(records)
-    want = [{} for _ in records]
-    for a, b in combinations(range(d.n), 2):
-        want[a][d.d[a][b]] = want[a].get(d.d[a][b], 0) | 1 << b
-    assert ingest.distance_classes(records) == want
+    d = oracles.hamming_matrix(records)
+    assert ingest.distance_classes(records) == classes_of(d.d)
 
 
 @settings(deadline=None)
 @given(records=voter_records(min_records=3), data=st.data())
 @example(records=records_of("YY", "YN", "NN", "AA", "YA", "NA"), data=None)
+@example(records=LONG, data=None)
 def test_vote_sweeps_match_submatrix_sweeps(records, data):
-    d = rs.hamming_matrix(records)
-    index = {token: [i for i, r in enumerate(records) if token in ("G", r.party)]
-             for token in "GDRI"}
+    d = oracles.hamming_matrix(records)
+    index = {token: oracles.subgroup_indices(records, token) for token in "GDRI"}
     largest = max(map(max, d.d))
     if data is None:  # every party with and without G, t_max past the largest distance
         cases = [(["D", "R"], 1, None), (["R", "G", "D"], 0, largest + 3)]
@@ -419,7 +417,8 @@ def test_vote_sweeps_match_submatrix_sweeps(records, data):
     for subgroups, t_min, t_max in cases:
         tables = rs.vote_sweeps(records, (t_min, t_max), subgroups)
         t_range = (t_min, largest + 1 if t_max is None else t_max)
-        assert tables == [rs.sweep(d.submatrix(index[token]), t_range) for token in subgroups]
+        assert tables == [rs.sweep(oracles.submatrix(d, index[token]), t_range)
+                          for token in subgroups]
 
 
 @st.composite
@@ -428,7 +427,7 @@ def vote_sweep_cases(draw):
     allowed, party I maybe present but not asked), and a threshold
     range whose t_max may be None."""
     records = draw(voter_records(min_records=3))
-    largest = max(map(max, rs.hamming_matrix(records).d))
+    largest = max(map(max, oracles.hamming_matrix(records).d))
     tokens = [token for token in "GDRI"
               if sum(token in ("G", r.party) for r in records) >= 3]
     subgroups = draw(st.lists(st.sampled_from(tokens), min_size=1, max_size=4))
@@ -458,12 +457,12 @@ ALL_D = parties_of("DDDDD", "YNY", "YNN", "NNN", "YYY", "AYN")
 def test_vote_sweeps_match_threshold_census(case):
     # the oracle censuses each threshold coloring: no sweep runs
     records, subgroups, t_min, t_max = case
-    d = rs.hamming_matrix(records)
+    d = oracles.hamming_matrix(records)
     last = max(map(max, d.d)) + 1 if t_max is None else t_max
     tables = rs.vote_sweeps(records, (t_min, t_max), subgroups)
     assert len(tables) == len(subgroups)
     for token, table in zip(subgroups, tables):
-        sub = d.submatrix([i for i, r in enumerate(records) if token in ("G", r.party)])
+        sub = oracles.submatrix(d, oracles.subgroup_indices(records, token))
         assert table.n == sub.n
         assert [t for t, _ in table.rows] == list(range(t_min, last + 1))
         for t, census in table.rows:

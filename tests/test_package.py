@@ -10,10 +10,10 @@ PUBLIC = [
     "TradeFlow", "TwoColoring", "UndefinedDensityError", "UnsupportedOrderError",
     "VoterRecord", "bar_chi2", "build_trade_graph", "chi2", "chi2_deviation",
     "chi2_vs_goodman", "clique_census", "expected_mono", "from_blue_edges",
-    "goodman_fraction", "goodman_min", "hamming_matrix", "max_clique", "mono_distribution",
-    "mono_triangles", "neighborhood_density", "p_value", "parse_trade_flows", "parse_votes",
-    "party_indices", "path_count", "per_vertex_triangles", "random_coloring",
-    "random_mono_counts", "sweep", "thomason_bound", "triangle_census", "vote_sweeps",
+    "goodman_fraction", "goodman_min", "max_clique", "mono_distribution", "mono_triangles",
+    "neighborhood_density", "p_value", "parse_trade_flows", "parse_votes", "path_count",
+    "per_vertex_triangles", "random_coloring", "random_mono_counts", "sweep",
+    "thomason_bound", "triangle_census", "vote_sweeps",
 ]
 
 
@@ -43,6 +43,16 @@ def test_unknown_name_raises_attribute_error():
     with pytest.raises(AttributeError, match="'ramseystats' has no attribute 'nope'"):
         rs.nope
     assert not hasattr(rs, "nope")
+
+
+def test_votes_have_one_path():
+    # vote_sweeps is the votes entry point; the matrix route is in tests/oracles.py
+    for name in ("hamming_matrix", "party_indices"):
+        with pytest.raises(AttributeError, match=f"has no attribute '{name}'"):
+            getattr(rs, name)
+    assert not hasattr(rs.DistanceMatrix, "submatrix")
+    # sweep(d) still takes a caller's own matrix, validated by its own __init__
+    assert "__init__" in vars(rs.DistanceMatrix)
 
 
 def test_submodules_import_from_the_package():
