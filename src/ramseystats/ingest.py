@@ -219,8 +219,9 @@ class SweepTable(NamedTuple):
     rows: tuple[tuple[int, CliqueCensus], ...]
 
 
-def sweep(d: DistanceMatrix, t_range: tuple[int, int]) -> SweepTable:
-    """Census every threshold graph for t in the inclusive range.
+def sweep(d: DistanceMatrix, t_range: tuple[int, int | None]) -> SweepTable:
+    """Census every threshold graph for t in the inclusive range. A
+    t_max of None means the largest distance + 1.
 
     Rows come back ordered by t, and each census equals the triangle
     census of the threshold coloring at t: red at distance <= t, blue
@@ -243,7 +244,8 @@ def vote_sweeps(records: Sequence[VoterRecord], t_range: tuple[int, int | None],
     Each table equals sweep(d, t_range) for the Hamming distance matrix
     d of the subgroup's records, but no distance matrix is built:
     distance_classes gives the pairs by distance, and one pass over them
-    sweeps every subgroup. A t_max of None means the largest distance + 1.
+    sweeps every subgroup. A t_max of None means the largest distance + 1,
+    over all pairs of records.
     """
     groups = []
     for token in subgroups:
@@ -254,16 +256,11 @@ def vote_sweeps(records: Sequence[VoterRecord], t_range: tuple[int, int | None],
         if not mask:
             raise InputError(f"subgroup {token!r} matches no records")
         groups.append(mask)
-    classes = distance_classes(records)
-    t_min, t_max = t_range
-    if t_max is None:
-        t_max = max((max(by_distance) for by_distance in classes if by_distance),
-                    default=0) + 1
-    return _sweep(classes, groups, (t_min, t_max))
+    return _sweep(distance_classes(records), groups, t_range)
 
 
 def _sweep(classes: Sequence[dict[int, int]], groups: Sequence[int],
-           t_range: tuple[int, int]) -> list[SweepTable]:
+           t_range: tuple[int, int | None]) -> list[SweepTable]:
     """The sweep of each group (a vertex mask) over the pairs in classes,
     which holds, for each vertex a, its partners b > a by distance.
 
@@ -275,6 +272,9 @@ def _sweep(classes: Sequence[dict[int, int]], groups: Sequence[int],
     vertex's group is asked too. Blue follows from the red degrees.
     """
     t_min, t_max = t_range
+    if t_max is None:
+        t_max = max((max(by_distance) for by_distance in classes if by_distance),
+                    default=0) + 1
     if t_min > t_max:
         raise InputError(f"empty threshold range [{t_min}, {t_max}]")
     sizes = [group.bit_count() for group in groups]

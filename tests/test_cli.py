@@ -20,6 +20,8 @@ import oracles
 import ramseystats as rs
 from conftest import CliRunner
 from ramseystats import census, cli, report
+from ramseystats.commands import bounds as bounds_command
+from ramseystats.commands import simulate as simulate_command
 from ramseystats.cli import OUT_DIR_ENV, main
 
 
@@ -211,19 +213,23 @@ def test_line_separator_inside_a_votes_id(runner, sample_votes_path, tmp_path):
     assert outputs[1] == outputs[0]
 
 
-# Modules each command loads from src/; the rest load only where called.
-_STARTUP = {"bounds", "cli", "errors", "report"}
+# Modules each command loads from src/ besides its own command module; the
+# rest load only where called. `import ramseystats.cli` loads just the dispatcher.
+_CLI = "ramseystats.cli"
+_STARTUP = {_CLI, *(f"ramseystats.{m}" for m in ("bounds", "commands", "errors", "report"))}
 # Checked modules from outside src/; _ALWAYS must not load for any command.
-_CHECKED = ("click", "dataclasses", "hashlib", "inspect", "statistics")
+_CHECKED = ("click", "dataclasses", "fractions", "hashlib", "inspect", "random",
+            "statistics")
 _ALWAYS = {"click", "dataclasses", "inspect", "statistics"}
 _LOADED = f"""
-import json, sys
+import contextlib, json, sys
 if sys.argv[1:]:
     from ramseystats.cli import main
-    main(sys.argv[1:], standalone_mode=False)
+    with contextlib.suppress(SystemExit):  # --help exits 0
+        main(sys.argv[1:], standalone_mode=False)
 else:
     import ramseystats.cli
-print(json.dumps([sorted(m.split(".")[1] for m in sys.modules if m.startswith("ramseystats.")),
+print(json.dumps([sorted(m for m in sys.modules if m.startswith("ramseystats.")),
                   {{m: m in sys.modules for m in {_CHECKED}}}]))
 """
 _STDLIB = f"""
@@ -250,26 +256,42 @@ def _loaded(args, tmp_path):
 
 _VOTES = str(Path(__file__).parent / "data" / "house-votes-84-sample.csv")
 _TRADE = str(Path(__file__).parent / "data" / "trade-small.csv")
-_TRADE_MODULES = {"census", "coloring", "ingest", "stats"}
+_TRADE_MODULES = ("census", "coloring", "ingest", "stats")
 
 
-@pytest.mark.parametrize("args, extra, not_loaded", [
-    (["bounds"], set(), {"hashlib"}),
-    (["simulate", "--exhaustive", "--n", "4"], {"census"}, {"hashlib"}),
-    (["simulate", "--n", "4", "--samples", "2"], {"census"}, {"hashlib"}),
-    (["sweep", "--input", _VOTES], {"census", "ingest"}, set()),
-    (["chi2", "--kind", "votes", "--input", _VOTES], {"census", "ingest", "stats"}, set()),
-    (["trade", "--input", _TRADE], _TRADE_MODULES, set()),
-    (["chi2", "--kind", "trade", "--input", _TRADE], _TRADE_MODULES, set()),
-    ([], set(), {"hashlib"}),
+def _run_loads(command, *extra):
+    """The modules a run of command loads from src/: the startup ones, extra,
+    and one command module, its own."""
+    return _STARTUP | {f"ramseystats.{m}" for m in (*extra, f"commands.{command}")}
+
+
+@pytest.mark.parametrize("args, want, not_loaded", [
+    (["bounds"], _run_loads("bounds"), {"hashlib"}),
+    (["simulate", "--exhaustive", "--n", "4"], _run_loads("simulate", "census"), {"hashlib"}),
+    (["simulate", "--n", "4", "--samples", "2"], _run_loads("simulate", "census"), {"hashlib"}),
+    (["sweep", "--input", _VOTES], _run_loads("sweep", "census", "ingest"), set()),
+    (["chi2", "--kind", "votes", "--input", _VOTES],
+     _run_loads("chi2", "census", "ingest", "stats"), set()),
+    (["trade", "--input", _TRADE], _run_loads("trade", *_TRADE_MODULES), set()),
+    (["chi2", "--kind", "trade", "--input", _TRADE], _run_loads("chi2", *_TRADE_MODULES), set()),
+    ([], {_CLI}, {"fractions", "hashlib", "random"}),
 ], ids=["bounds", "exhaustive", "monte-carlo", "sweep", "chi2-votes", "trade", "chi2-trade",
         "import-cli"])
-def test_command_loads_only_what_it_runs(tmp_path, bare_stdlib, args, extra, not_loaded):
+def test_command_loads_only_what_it_runs(tmp_path, bare_stdlib, args, want, not_loaded):
     modules, stdlib = _loaded([*args, "--out-dir", str(tmp_path / "out")] if args else [],
                               tmp_path)
-    assert set(modules) == _STARTUP | extra
+    assert set(modules) == want
     # loaded only if a bare interpreter loads it, as a site may
     for name in (not_loaded | _ALWAYS) & set(stdlib):
+        assert not stdlib[name] or bare_stdlib[name], name
+
+
+@pytest.mark.parametrize("args", [["--help"], *([c, "--help"] for c in cli._COMMANDS)],
+                         ids=lambda args: args[0])
+def test_help_loads_no_command_module(tmp_path, bare_stdlib, args):
+    modules, stdlib = _loaded(args, tmp_path)
+    assert modules == [_CLI]
+    for name in _CHECKED:
         assert not stdlib[name] or bare_stdlib[name], name
 
 
@@ -363,14 +385,25 @@ def test_usage_errors_exit_2(runner, tmp_path, monkeypatch, args, named):
     assert not out.exists()
 
 
+# The --help text of ramseystats and of each command, as written before the
+# commands moved into modules of their own, at the 80 columns argparse falls
+# back to when the output is not a terminal (CPython 3.11's argparse)
+_HELP = json.loads((Path(__file__).parent / "data" / "help.json").read_text())
+
+
 @pytest.mark.parametrize("command", [[], ["sweep"], ["chi2"], ["trade"], ["simulate"],
                                      ["bounds"]], ids=lambda c: c[0] if c else "main")
 def test_help_exits_0(runner, tmp_path, monkeypatch, command):
     monkeypatch.setenv(OUT_DIR_ENV, str(tmp_path / "out"))
+    monkeypatch.setenv("COLUMNS", "80")
     result = runner.invoke(main, [*command, "--help"])
     assert result.exit_code == 0
-    assert "--help" in result.output
+    assert result.output == _HELP[command[0] if command else "ramseystats"]
     assert not (tmp_path / "out").exists()
+
+
+def test_help_covers_every_command():
+    assert sorted(_HELP) == sorted(["ramseystats", *cli._COMMANDS])
 
 
 @pytest.mark.parametrize("command", ["sweep", "chi2"])
@@ -773,7 +806,7 @@ def _count_lists(draw):
 @example(xs=[1, 2])
 @example(xs=[comb(5632, 3)] * 599 + [0])
 def test_simulate_mean_and_stderr_match_statistics(xs):
-    assert cli._stdev(xs).hex() == stdev(xs).hex()
+    assert simulate_command._stdev(xs).hex() == stdev(xs).hex()
     assert fsum(xs) / len(xs) == fmean(xs)
 
 
@@ -842,7 +875,7 @@ def test_simulate_work_cap_inclusive(runner, tmp_path, monkeypatch):
     run_ok(runner, ["simulate", "--n", "700", "--samples", "1", "--t-step", "1",
                     "--out-dir", str(tmp_path / "out")])
     # at n=4, 3 densities x 2 samples need 2 x (6 + 26 + 3 x (4 + 3)) + 3 x 1000 = 3106
-    monkeypatch.setattr(cli, "MAX_SIMULATED_WORK", 3106)
+    monkeypatch.setattr(simulate_command, "MAX_SIMULATED_WORK", 3106)
     grid = ["simulate", "--n", "4", "--t-step", "0.5", "--out-dir", str(tmp_path / "out")]
     run_ok(runner, grid + ["--samples", "2"])
     result = runner.invoke(main, grid + ["--samples", "3"])
@@ -866,7 +899,7 @@ def test_simulate_exhaustive_cap_exit_1(runner, tmp_path, monkeypatch):
         assert not (tmp_path / "out").exists()
     monkeypatch.undo()
     # inclusive: a cap of 4 takes n=4 and refuses n=5
-    monkeypatch.setattr(cli, "MAX_EXHAUSTIVE_N", 4)
+    monkeypatch.setattr(simulate_command, "MAX_EXHAUSTIVE_N", 4)
     exhaustive = ["simulate", "--exhaustive", "--out-dir", str(tmp_path / "out")]
     run_ok(runner, exhaustive + ["--n", "4"])
     assert runner.invoke(main, exhaustive + ["--n", "5"]).exit_code == 1
@@ -893,7 +926,7 @@ def test_bounds_row_cap_exit_1(runner, tmp_path, monkeypatch):
         "error: 99999998 rows in n range [3, 100000000] exceed the cap of 10000\n")
     assert not list(tmp_path.iterdir())
     # inclusive: n from 3 to 10 is 8 rows
-    monkeypatch.setattr(cli, "MAX_BOUNDS_ROWS", 8)
+    monkeypatch.setattr(bounds_command, "MAX_BOUNDS_ROWS", 8)
     run_ok(runner, ["bounds", "--n-max", "10", "--out-dir", str(tmp_path / "ok")])
     result = runner.invoke(main, ["bounds", "--n-max", "11", "--out-dir", str(tmp_path / "no")])
     assert result.exit_code == 1

@@ -485,6 +485,32 @@ def test_vote_sweeps_error_messages(sample_records):
         assert str(err.value) == message
 
 
+def _sweep_or_error(sweep, *args):
+    try:
+        return sweep(*args)
+    except rs.InputError as exc:
+        return str(exc)
+
+
+THREE = rs.DistanceMatrix([[0, 1, 2], [1, 0, 1], [2, 1, 0]])
+
+
+@settings(deadline=None)
+@given(matrix_case=sweep_cases(), votes_case=vote_sweep_cases())
+@example(matrix_case=(THREE, (0, 0), None), votes_case=(SIX, ["G"], 0, None))
+@example(matrix_case=(ZEROS, (2, 2), None), votes_case=(SIX, ["D", "G"], 9, None))  # empty range
+def test_t_max_none_is_the_largest_distance_plus_one(matrix_case, votes_case):
+    # both entry points, on a table or on the error of an empty range
+    d, (t_min, _), _ = matrix_case
+    last = max(map(max, d.d)) + 1
+    assert _sweep_or_error(rs.sweep, d, (t_min, None)) == \
+        _sweep_or_error(rs.sweep, d, (t_min, last))
+    records, subgroups, t_min, _ = votes_case
+    last = max(map(max, oracles.hamming_matrix(records).d)) + 1
+    assert _sweep_or_error(rs.vote_sweeps, records, (t_min, None), subgroups) == \
+        _sweep_or_error(rs.vote_sweeps, records, (t_min, last), subgroups)
+
+
 def test_parse_trade_flows(trade_small_path):
     flows = rs.parse_trade_flows(trade_small_path.read_text().splitlines())
     assert len(flows) == 12
