@@ -20,9 +20,9 @@ import oracles
 import ramseystats as rs
 from conftest import CliRunner
 from ramseystats import census, cli, report
+from ramseystats.cli import OUT_DIR_ENV, main
 from ramseystats.commands import bounds as bounds_command
 from ramseystats.commands import simulate as simulate_command
-from ramseystats.cli import OUT_DIR_ENV, main
 
 
 @pytest.fixture
