@@ -26,6 +26,7 @@ from contextlib import suppress
 from fractions import Fraction
 from itertools import accumulate, pairwise
 from math import comb
+from operator import mul
 from typing import TYPE_CHECKING, Iterable, NamedTuple, Sequence
 
 from .errors import InputError, UndefinedDensityError, UnsupportedOrderError
@@ -193,7 +194,8 @@ def mono_triangles(n: int, degrees: Iterable[int]) -> int:
     not monochromatic holds two such pairs, a monochromatic one none.
     Holds for any n >= 1.
     """
-    return _goodman(n, sum(d * (n - 1 - d) for d in degrees))
+    d = list(degrees)
+    return _goodman(n, (n - 1) * sum(d) - sum(map(mul, d, d)))
 
 
 def _goodman(n: int, discordant: int) -> int:

@@ -148,13 +148,15 @@ def _csv_rows(lines: Iterable[str]) -> Iterator[tuple[int, list[str]]]:
 
 
 def _normalize_votes(tokens: Sequence[str], lineno: int) -> str:
-    out = []
-    for tok in tokens:
-        ch = _VOTE_TOKENS.get(tok.strip().lower())
-        if ch is None:
-            raise ParseError(f"unknown vote token {tok.strip()!r}", line=lineno)
-        out.append(ch)
-    return "".join(out)
+    # Tokens as the UCI file spells them (y, n, ?) skip strip and lower,
+    # whose calls through map cost more than the loop they replace.
+    chars = list(map(_VOTE_TOKENS.get, tokens))
+    if None in chars:
+        chars = list(map(_VOTE_TOKENS.get, map(str.lower, map(str.strip, tokens))))
+    if None in chars:  # the first unknown token
+        raise ParseError(f"unknown vote token {tokens[chars.index(None)].strip()!r}",
+                         line=lineno)
+    return "".join(chars)
 
 
 def distance_classes(records: Sequence[VoterRecord]) -> list[dict[int, int]]:
@@ -290,20 +292,24 @@ def _sweep(classes: Sequence[dict[int, int]], groups: Sequence[int],
     whole = everyone in masks
     members = {mask: [v for v in range(n) if mask >> v & 1] for mask in masks}
     party = {v: mask for mask in masks if mask != everyone for v in members[mask]}
-    # joins[t][a]: the b > a sharing an asked group with a whose pair turns red at t
-    joins: dict[int, dict[int, int]] = {}
+    # joins[t - t_min][a]: the b > a sharing an asked group with a whose pair turns red at t
+    joins: list[dict[int, int]] = [{} for _ in range(t_max - t_min + 1)]
     for a, by_distance in enumerate(classes):
-        keep = everyone if whole else party.get(a, 0)
+        keep = party.get(a, 0)
         for dist, mask in by_distance.items():
-            if dist <= t_max and mask & keep:
-                at_t = joins.setdefault(max(dist, t_min), {})
-                at_t[a] = at_t.get(a, 0) | mask & keep
+            if dist <= t_max:
+                if not whole:  # with G asked, every partner shares it
+                    mask &= keep
+                    if not mask:
+                        continue
+                at_t = joins[max(dist - t_min, 0)]
+                at_t[a] = at_t.get(a, 0) | mask
 
     red, bits = [0] * n, [1 << v for v in range(n)]
     red_counts = dict.fromkeys([0, *masks], 0)  # 0: vertices in no asked party
     rows: dict[int, list] = {mask: [] for mask in masks}
-    for t in range(t_min, t_max + 1):
-        for a, new in joins.get(t, {}).items():
+    for t, at_t in enumerate(joins, start=t_min):
+        for a, new in at_t.items():
             red_a, bit_a, own = red[a], bits[a], party.get(a, 0)
             count = inside = 0
             if whole:  # a pair inside a's party counts for the party too
@@ -312,26 +318,29 @@ def _sweep(classes: Sequence[dict[int, int]], groups: Sequence[int],
                     b = same.bit_length() - 1
                     bit = bits[b]
                     same ^= bit
-                    common = red_a & red[b]
+                    row = red[b]
+                    common = red_a & row
                     count += common.bit_count()
                     inside += (common & own).bit_count()
                     red_a |= bit
-                    red[b] |= bit_a
+                    red[b] = row | bit_a
                 red_counts[own] += inside
             while new:
                 b = new.bit_length() - 1
                 bit = bits[b]
                 new ^= bit
-                count += (red_a & red[b]).bit_count()
+                row = red[b]
+                count += (red_a & row).bit_count()
                 red_a |= bit
-                red[b] |= bit_a
+                red[b] = row | bit_a
             red[a] = red_a
             red_counts[everyone if whole else own] += count
         for mask in masks:
-            clip = whole and mask != everyone  # rows may hold outsiders
             size, red_count = len(members[mask]), red_counts[mask]
-            mono = mono_triangles(size, [(red[v] & mask if clip else red[v]).bit_count()
-                                         for v in members[mask]])
+            member_rows = map(red.__getitem__, members[mask])
+            if whole and mask != everyone:  # rows may hold outsiders
+                member_rows = map(mask.__and__, member_rows)
+            mono = mono_triangles(size, list(map(int.bit_count, member_rows)))
             census = CliqueCensus(size, 3, math.comb(size, 3), red_count, mono - red_count)
             rows[mask].append((t, census))
     return [SweepTable(n=size, rows=tuple(rows[group])) for size, group in zip(sizes, groups)]

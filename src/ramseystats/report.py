@@ -93,9 +93,18 @@ def format_table(headers, rows) -> str:
 
 
 def sha256_file(path: Path) -> str:
-    import hashlib  # only runs that read an input hash it; hashlib loads OpenSSL
+    """The hex SHA-256 of the file's bytes, from CPython's built-in
+    SHA-256, the one hashlib itself falls back on, so no run loads
+    OpenSSL; hashlib only where that module is missing."""
+    data = path.read_bytes()
+    for name in ("_sha256", "_sha2"):  # CPython 3.11; 3.12 and later
+        try:
+            return __import__(name).sha256(data).hexdigest()
+        except ImportError:
+            pass
+    import hashlib
 
-    return hashlib.sha256(path.read_bytes()).hexdigest()
+    return hashlib.sha256(data).hexdigest()
 
 
 def write_manifest(out_dir: Path, command: str, config: dict, inputs) -> Path:

@@ -123,6 +123,22 @@ def test_mono_triangles_extremes():
         rs.mono_triangles(0, [])
 
 
+@given(st.integers(1, 40).flatmap(
+    lambda n: st.tuples(st.just(n), st.lists(st.integers(0, n - 1), max_size=n))))
+@example((1, []))
+@example((1, [0]))
+@example((6, [0, 5, 5, 0, 2, 3]))
+def test_mono_triangles_is_goodmans_discordant_sum(case):
+    # C(n,3) - sum d (n-1-d) / 2 over any degree list in [0, n-1], read
+    # from a list, a generator or a map; also none and the extremes 0, n-1
+    n, drawn = case
+    for degrees in (drawn, [], [0] * n, [n - 1] * n, [0, n - 1] * n):
+        want = comb(n, 3) - sum(d * (n - 1 - d) for d in degrees) // 2
+        assert rs.mono_triangles(n, degrees) == want
+        assert rs.mono_triangles(n, (d for d in degrees)) == want
+        assert rs.mono_triangles(n, map(int, degrees)) == want
+
+
 def test_random_mono_counts_validation():
     assert rs.random_mono_counts(1, [0.5], [1]) == [[0]]
     assert rs.random_mono_counts(6, [1.0], [1]) == [[20]]

@@ -1,9 +1,15 @@
 import csv
+import hashlib
 import io
 import json
 import math
+import sys
 from fractions import Fraction
 from typing import NamedTuple
+
+import pytest
+from hypothesis import HealthCheck, example, given, settings
+from hypothesis import strategies as st
 
 from ramseystats import __version__, report
 
@@ -84,3 +90,23 @@ def test_write_and_hash(tmp_path):
     assert doc["config"] == {"k": 1}
     assert doc["inputs"]["input"]["sha256"] == digest
     assert doc["version"] == __version__
+
+
+@settings(suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(data=st.binary())
+@example(data=b"")
+@example(data=b"\x00")
+@example(data=bytes(range(256)) * 4097)  # more than 1 MiB
+def test_sha256_file_is_hashlibs_digest(tmp_path, data):
+    p = tmp_path / "input"
+    p.write_bytes(data)
+    assert report.sha256_file(p) == hashlib.sha256(data).hexdigest()
+
+
+def test_sha256_file_falls_back_on_hashlib(tmp_path, monkeypatch):
+    data = bytes(range(256)) * 3
+    p = tmp_path / "input"
+    p.write_bytes(data)
+    for name in ("_sha256", "_sha2"):  # the built-in SHA-256 of 3.11; of 3.12 and later
+        monkeypatch.setitem(sys.modules, name, None)  # now an import of it fails
+    assert report.sha256_file(p) == hashlib.sha256(data).hexdigest()
