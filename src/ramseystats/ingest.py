@@ -302,7 +302,7 @@ def _sweep(classes: Sequence[dict[int, int]], groups: Sequence[int],
                     mask &= keep
                     if not mask:
                         continue
-                at_t = joins[max(dist - t_min, 0)]
+                at_t = joins[dist - t_min if dist > t_min else 0]
                 at_t[a] = at_t.get(a, 0) | mask
 
     red, bits = [0] * n, [1 << v for v in range(n)]
@@ -337,9 +337,12 @@ def _sweep(classes: Sequence[dict[int, int]], groups: Sequence[int],
             red_counts[everyone if whole else own] += count
         for mask in masks:
             size, red_count = len(members[mask]), red_counts[mask]
-            member_rows = map(red.__getitem__, members[mask])
-            if whole and mask != everyone:  # rows may hold outsiders
-                member_rows = map(mask.__and__, member_rows)
+            if mask == everyone:
+                member_rows = red
+            else:
+                member_rows = map(red.__getitem__, members[mask])
+                if whole:  # rows may hold outsiders
+                    member_rows = map(mask.__and__, member_rows)
             mono = mono_triangles(size, list(map(int.bit_count, member_rows)))
             census = CliqueCensus(size, 3, math.comb(size, 3), red_count, mono - red_count)
             rows[mask].append((t, census))
