@@ -148,15 +148,13 @@ def _csv_rows(lines: Iterable[str]) -> Iterator[tuple[int, list[str]]]:
 
 
 def _normalize_votes(tokens: Sequence[str], lineno: int) -> str:
-    # Tokens as the UCI file spells them (y, n, ?) skip strip and lower,
-    # whose calls through map cost more than the loop they replace.
-    chars = list(map(_VOTE_TOKENS.get, tokens))
-    if None in chars:
-        chars = list(map(_VOTE_TOKENS.get, map(str.lower, map(str.strip, tokens))))
-    if None in chars:  # the first unknown token
-        raise ParseError(f"unknown vote token {tokens[chars.index(None)].strip()!r}",
-                         line=lineno)
-    return "".join(chars)
+    out = []
+    for tok in tokens:
+        ch = _VOTE_TOKENS.get(tok.strip().lower())
+        if ch is None:
+            raise ParseError(f"unknown vote token {tok.strip()!r}", line=lineno)
+        out.append(ch)
+    return "".join(out)
 
 
 def distance_classes(records: Sequence[VoterRecord]) -> list[dict[int, int]]:

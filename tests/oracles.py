@@ -9,8 +9,7 @@ small n.
 import random
 from itertools import combinations
 
-from ramseystats import (Color, DistanceMatrix, InputError, ParseError, TwoColoring,
-                         from_blue_edges)
+from ramseystats import Color, DistanceMatrix, InputError, TwoColoring, from_blue_edges
 
 
 def adjacency(coloring, color):
@@ -144,18 +143,6 @@ def goodman_min(n):
         return 2 * m * (m - 1) * (4 * m + 1) // 3
     m = (n - 3) // 4
     return 2 * m * (m + 1) * (4 * m - 1) // 3
-
-
-def normalize_votes(tokens, lineno):
-    """A row's vote tokens as Y/N/A, one token at a time: strip, lower-case,
-    look up; the first unknown token raises ParseError at lineno."""
-    out = []
-    for tok in tokens:
-        ch = {"y": "Y", "n": "N", "?": "A", "a": "A"}.get(tok.strip().lower())
-        if ch is None:
-            raise ParseError(f"unknown vote token {tok.strip()!r}", line=lineno)
-        out.append(ch)
-    return "".join(out)
 
 
 def hamming(a, b):

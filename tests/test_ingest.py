@@ -50,30 +50,6 @@ def test_parse_votes_errors_name_the_line_a_row_starts_on():
     assert [(r.id, r.votes) for r in recs] == [("1", "Y"), ("3", "N")]
 
 
-_PADDING = st.sampled_from(["", " ", "\t", "  ", "\xa0"])
-# known tokens in either case, unknown ones (İ lower-cases to two characters)
-_VOTE_TOKEN = st.one_of(st.sampled_from(["y", "n", "?", "a", "Y", "N", "A"]),
-                        st.sampled_from(["", "yes", "x", "yy", "? ", "İ"]),
-                        st.text(max_size=2))
-
-
-def _outcome(normalize, tokens, lineno):
-    try:
-        return normalize(tokens, lineno)
-    except rs.ParseError as exc:
-        return str(exc), exc.line
-
-
-@given(tokens=st.lists(st.builds(lambda pre, tok, post: pre + tok + post,
-                                 _PADDING, _VOTE_TOKEN, _PADDING), max_size=20),
-       lineno=st.integers(1, 10**6))
-@example(tokens=["y", "N", " ? ", "x", "yes"], lineno=7)
-def test_normalize_votes_matches_the_token_loop(tokens, lineno):
-    # the same vote string, or the same error for the same first unknown token
-    assert (_outcome(ingest._normalize_votes, tokens, lineno)
-            == _outcome(oracles.normalize_votes, tokens, lineno))
-
-
 def test_parse_generic():
     lines = [
         "id,party,v1,v2,v3",
