@@ -23,13 +23,14 @@ _EXPORTS = {
                      "thomason_bound"), "bounds"),
     **dict.fromkeys(("CliqueCensus", "MaxCliqueResult", "clique_census", "max_clique",
                      "mono_distribution", "mono_triangles", "neighborhood_density",
-                     "per_vertex_triangles", "random_mono_counts", "triangle_census"), "census"),
+                     "per_vertex_triangles", "random_coloring", "random_mono_counts",
+                     "triangle_census"), "census"),
     **dict.fromkeys(("Color", "TwoColoring", "from_blue_edges", "path_count"), "coloring"),
     **dict.fromkeys(("DegenerateReferenceError", "InputError", "ParseError",
                      "UndefinedDensityError", "UnsupportedOrderError"), "errors"),
     **dict.fromkeys(("DistanceMatrix", "SweepTable", "TradeFlow", "VoterRecord",
-                     "build_trade_graph", "parse_trade_flows", "parse_votes", "random_coloring",
-                     "sweep", "vote_sweeps"), "ingest"),
+                     "build_trade_graph", "parse_trade_flows", "parse_votes", "sweep",
+                     "vote_sweeps"), "ingest"),
     **dict.fromkeys(("Chi2Report", "bar_chi2", "chi2", "chi2_deviation", "chi2_vs_goodman",
                      "p_value"), "stats"),
 }

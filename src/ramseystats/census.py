@@ -9,8 +9,10 @@ on a 214-vertex trade graph take under a second; K5 on its dense side
 takes about 20 s (2 cores, CPython 3.11).
 
 Everything here is a pure function of a coloring, degrees or seeds;
-counts are exact integers and fractions are exact rationals. CliqueCensus
-is the one census type: it also carries the expected census of a random
+counts are exact integers and fractions are exact rationals. The seeded
+draw rule of the random baseline is random_coloring's alone, and
+random_mono_counts reads its draws at many densities. CliqueCensus is
+the one census type: it also carries the expected census of a random
 coloring (bounds.expected_mono), and the transitivity and the red/blue
 bias of the monochromatic cliques are its properties.
 """
@@ -24,7 +26,7 @@ from bisect import bisect_right
 from collections import Counter, defaultdict
 from contextlib import suppress
 from fractions import Fraction
-from itertools import accumulate, pairwise
+from itertools import accumulate, combinations, pairwise
 from math import comb
 from operator import mul
 from typing import TYPE_CHECKING, Iterable, NamedTuple, Sequence
@@ -215,9 +217,24 @@ def _check_densities(n: int, ts: Sequence[float]) -> None:
         raise InputError("blue probabilities must be in ascending order")
 
 
+def random_coloring(n: int, t: float, seed: int) -> TwoColoring:
+    """A random coloring of K_n, each pair blue with probability t.
+
+    Randomness comes from CPython's Mersenne Twister (random.Random)
+    seeded as given, drawing once per pair in combinations(range(n), 2)
+    order, i.e. ascending (i, j), so a seed pins every draw on every
+    platform. A pair is blue when its draw is below t.
+    """
+    from .coloring import from_blue_edges
+
+    _check_densities(n, [t])
+    r = random.Random(seed).random
+    return from_blue_edges(n, (pair for pair in combinations(range(n), 2) if r() < t))
+
+
 def random_mono_counts(n: int, ts: Sequence[float], seeds: Iterable[int]) -> list[list[int]]:
-    """Monochromatic triangles of ingest.random_coloring(n, t, seed) for
-    each t of the ascending ts: one list per t, one count per seed.
+    """Monochromatic triangles of random_coloring(n, t, seed) for each t
+    of the ascending ts: one list per t, one count per seed.
 
     A seed draws as random_coloring does, once per pair in combinations
     order, and a pair is blue at t when its draw is below t. Each vertex
@@ -384,11 +401,12 @@ def max_clique(
     rows = coloring.rows(color)
     full = (1 << coloring.n) - 1
     search = _CliqueSearch(rows, node_budget)
+    chosen: list[int] = []
+    exact = smallest = False
     try:
-        search.expand(full)
-        witness, smallest = search.best, False
         with suppress(_BudgetExceeded):
-            chosen: list[int] = []
+            search.expand(full)
+            exact = True
             cand = full
             need = search.best_size
             while need:
@@ -399,15 +417,7 @@ def max_clique(
                         cand = rest
                         need -= 1
                         break
-            witness, smallest = tuple(chosen), True
-    except _BudgetExceeded:
-        return MaxCliqueResult(
-            size=search.best_size,
-            witness=search.best,
-            is_lower_bound=True,
-            nodes_explored=search.nodes,
-            witness_is_smallest=False,
-        )
+            smallest = True
     except RecursionError:
         raise InputError(
             f"clique search reached Python's recursion limit of {sys.getrecursionlimit()}"
@@ -415,8 +425,8 @@ def max_clique(
         ) from None
     return MaxCliqueResult(
         size=search.best_size,
-        witness=witness,
-        is_lower_bound=False,
+        witness=tuple(chosen) if smallest else search.best,
+        is_lower_bound=not exact,
         nodes_explored=search.nodes,
         witness_is_smallest=smallest,
     )

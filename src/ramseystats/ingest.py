@@ -1,6 +1,6 @@
 """Turn raw datasets into two-colored complete graphs.
 
-Three routes in:
+Two routes in:
   * categorical vote records -> pairs bucketed by Hamming distance ->
     threshold colorings (red at or below the threshold, blue above),
     swept over a threshold range. The buckets are bit-sliced
@@ -12,10 +12,7 @@ Three routes in:
     is built per threshold. sweep runs the same pass on a caller's own
     distance matrix;
   * directed weighted trade flows -> blue edges to each country's top-k
-    import and export partners, red elsewhere;
-  * seeded random draws, one per pair, for simulation baselines: the
-    coloring at one density (census.random_mono_counts reads the
-    monochromatic triangle counts of the same draws at many densities).
+    import and export partners, red elsewhere.
 
 Parsing is strict: wrong field counts and unknown tokens fail with the
 line the offending row starts on rather than being papered over.
@@ -25,11 +22,9 @@ from __future__ import annotations
 
 import csv
 import math
-import random
-from itertools import combinations
 from typing import TYPE_CHECKING, Iterable, Iterator, NamedTuple, Sequence
 
-from .census import CliqueCensus, _check_densities, mono_triangles
+from .census import CliqueCensus, mono_triangles
 from .errors import InputError, ParseError
 
 if TYPE_CHECKING:  # annotations only: sweep builds no coloring and loads none
@@ -393,41 +388,14 @@ def build_trade_graph(flows: Sequence[TradeFlow], k: int) -> TwoColoring:
     for f in flows:
         pair = (f.exporter, f.importer)
         volume[pair] = volume.get(pair, 0.0) + f.volume
-    outgoing: dict[str, list[tuple[float, str]]] = {}
-    incoming: dict[str, list[tuple[float, str]]] = {}
+    # ranked[(c, 0 | 1)]: c's export (0) or import (1) partners as (-volume, label),
+    # so a plain sort ranks by volume descending, ties alphabetically
+    ranked: dict[tuple[str, int], list[tuple[float, str]]] = {}
     for (exp, imp), v in volume.items():
-        outgoing.setdefault(exp, []).append((v, imp))
-        incoming.setdefault(imp, []).append((v, exp))
-    countries = sorted({c for pair in volume for c in pair})
+        ranked.setdefault((exp, 0), []).append((-v, imp))
+        ranked.setdefault((imp, 1), []).append((-v, exp))
+    countries = sorted({c for c, _ in ranked})
     index = {c: i for i, c in enumerate(countries)}
-    edges = set()
-    for c in countries:
-        for partner_list in (outgoing.get(c, []), incoming.get(c, [])):
-            ranked = sorted(partner_list, key=lambda p: (-p[0], p[1]))
-            for _, partner in ranked[:k]:
-                a, b = index[c], index[partner]
-                edges.add((min(a, b), max(a, b)))
-    return from_blue_edges(len(countries), sorted(edges), labels=countries)
-
-
-def _pair_draws(n: int, seed: int) -> Iterator[tuple[tuple[int, int], float]]:
-    """Each pair of K_n with its draw, pairs in combinations(range(n), 2)
-    order, i.e. ascending (i, j).
-
-    Randomness comes from CPython's Mersenne Twister (random.Random)
-    seeded as given, drawing once per pair in that order, so a seed pins
-    every draw on every platform. A pair is blue at density t when its
-    draw is < t.
-    """
-    r = random.Random(seed).random
-    for pair in combinations(range(n), 2):
-        yield pair, r()
-
-
-def random_coloring(n: int, t: float, seed: int) -> TwoColoring:
-    """A random coloring of K_n, each pair blue with probability t, drawn
-    as _pair_draws describes: same seed, same pairs."""
-    from .coloring import from_blue_edges
-
-    _check_densities(n, [t])
-    return from_blue_edges(n, (pair for pair, draw in _pair_draws(n, seed) if draw < t))
+    top_k = ((index[c], index[partner]) for (c, _), partners in ranked.items()
+             for _, partner in sorted(partners)[:k])
+    return from_blue_edges(len(countries), top_k, labels=countries)

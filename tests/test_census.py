@@ -377,8 +377,10 @@ def test_max_clique_budget_caps_the_whole_search(n, p, seed, color, budget):
     assert got.witness_is_smallest == (budget >= full.nodes_explored)
     if budget >= full.nodes_explored:
         assert got == full
-    elif got.is_lower_bound:
+    elif got.is_lower_bound:  # the size search ran out: its best clique is the witness
         assert got.size <= full.size
+        assert len(got.witness) == got.size
+        assert oracles.is_clique(c, got.witness, color)
     else:  # only the witness search ran out: the size is exact
         assert got.size == len(got.witness) == full.size
         assert oracles.is_clique(c, got.witness, color)

@@ -445,18 +445,24 @@ def test_late_failures_write_nothing(runner, sample_votes_path, tmp_path):
     votes, two, ring = str(sample_votes_path), tmp_path / "two.csv", tmp_path / "ring.csv"
     two.write_text("exporter,importer,volume\nA,B,3\n")
     ring.write_text("exporter,importer,volume\nA,B,1\nB,C,1\nC,D,1\nD,A,1\n")
-    for args in (
-        ["chi2", "--input", votes, "--subgroup", "G", "--subgroup", "D"],  # n=4, floor 0
-        ["chi2", "--input", votes, "--df", "0"],
-        ["trade", "--input", str(two)],
-        ["trade", "--input", str(ring), "--k", "1"],  # n=4, floor 0
-        ["simulate", "--n", "6", "--samples", "0"],
-        ["simulate", "--n", "30", "--exhaustive"],
+    floor_zero = "forced fraction is 0 at n=4; need n >= 6 for a usable reference"
+    for args, message in (
+        (["chi2", "--input", votes, "--subgroup", "G", "--subgroup", "D"], floor_zero),
+        (["chi2", "--input", votes, "--df", "0"],
+         "degrees of freedom must lie in [1, 10**7], got 0"),
+        (["chi2", "--input", votes, "--t-min", "0", "--t-max", "0"],
+         "need a positive t-max to normalize thresholds"),
+        (["trade", "--input", str(two)], "need n >= 3, got 2"),
+        (["trade", "--input", str(ring), "--k", "1"], floor_zero),
+        (["simulate", "--n", "6", "--samples", "0"], "samples must be >= 1, got 0"),
+        (["simulate", "--n", "30", "--exhaustive"], "exhaustive n=30 exceeds the cap of 11"),
+        (["simulate", "--t-min", "0.6", "--t-max", "0.2"], "need 0 <= t-min <= t-max <= 1"),
+        (["bounds", "--n-min", "9", "--n-max", "3"], "empty n range [9, 3]"),
     ):
         result = runner.invoke(main, [*args, "--out-dir", str(tmp_path / "out")])
         # an uncaught exception exits 1 too, so the message is checked
         assert result.exit_code == 1, args
-        assert result.output.startswith("error: "), (args, result.output)
+        assert result.output == f"error: {message}\n", args
         assert not (tmp_path / "out").exists(), args
 
 

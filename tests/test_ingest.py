@@ -1,4 +1,6 @@
+import copy
 import io
+import pickle
 import random
 import time
 from fractions import Fraction
@@ -11,7 +13,7 @@ from hypothesis import strategies as st
 import oracles
 import ramseystats as rs
 from ramseystats import Color, coloring, ingest
-from conftest import SIX_VOTER_MATRIX
+from conftest import DATA, SIX_VOTER_MATRIX
 
 
 def test_parse_uci_line():
@@ -211,6 +213,16 @@ def test_distance_matrix_validation():
         rs.DistanceMatrix(((0, -1), (-1, 0)))
     with pytest.raises(rs.InputError):
         rs.DistanceMatrix(((0, 1), (1, 0)), labels=("a",))
+    with pytest.raises(rs.InputError, match="^row 1 has 3 entries, expected 2$"):
+        rs.DistanceMatrix([[0, 1], [1, 0, 3]])
+
+
+def test_distance_matrix_copies_and_pickles():
+    # copy and pickle rebuild through __new__ with __getnewargs__'s (d, labels)
+    d = rs.DistanceMatrix([[0, 2, 1], [2, 0, 3], [1, 3, 0]], labels=["a", "b", "c"])
+    for twin in (copy.copy(d), copy.deepcopy(d), pickle.loads(pickle.dumps(d))):
+        assert type(twin) is rs.DistanceMatrix
+        assert twin == d == (3, ((0, 2, 1), (2, 0, 3), (1, 3, 0)), ("a", "b", "c"))
 
 
 def test_threshold_coloring_strict(sample_matrix):
@@ -577,8 +589,29 @@ def test_build_trade_graph_hand_union(trade_small_path):
         ("Charlie", "Echo"), ("Delta", "Echo"), ("Echo", "Foxtrot"),
     }
     assert got == want
-    countries, pairs = oracles.top_k_blue_pairs(flows, 2)
-    assert got == pairs and g.labels == tuple(countries)
+
+
+_TRADE_SMALL = rs.parse_trade_flows((DATA / "trade-small.csv").read_text().splitlines())
+
+
+@settings(deadline=None)
+@given(
+    # six labels: repeated pairs sum, small volumes tie (0 included), some countries
+    # have fewer than k partners, and k may exceed the country count
+    flows=st.lists(
+        st.tuples(st.sampled_from("ABCDEF"), st.sampled_from("ABCDEF"),
+                  st.sampled_from([0.0, 0.5, 1.0, 2.0, 3.0]))
+        .filter(lambda f: f[0] != f[1])
+        .map(lambda f: rs.TradeFlow(*f)),
+        min_size=1, max_size=30),
+    k=st.integers(1, 8),
+)
+@example(flows=_TRADE_SMALL, k=2)
+def test_build_trade_graph_matches_oracle(flows, k):
+    g = rs.build_trade_graph(flows, k)
+    countries, pairs = oracles.top_k_blue_pairs(flows, k)
+    assert g.labels == tuple(countries)
+    assert {(g.labels[i], g.labels[j]) for i, j in g.blue_edges()} == pairs
 
 
 def test_build_trade_graph_duplicates_sum_before_ranking(trade_small_path):
