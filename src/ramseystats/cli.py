@@ -12,9 +12,10 @@ This module is the dispatcher: it holds each subcommand's name, help
 line and options, parses the command line, and only then imports the
 one module that runs the command, ramseystats.commands.<name>. So
 parsing and --help load no command module, and `import ramseystats.cli`
-loads nothing else from the package. Nothing imports this module:
-under `python -m ramseystats.cli` it runs as __main__, and an import
-would compile and run it a second time.
+loads nothing else from the package. No module of the package imports
+this one (the `ramseystats` console script, the tests and the benchmark
+do): under `python -m ramseystats.cli` it runs as __main__, and an
+import would compile and run it a second time.
 
 Exit codes: 0 success, 2 missing input file (or a usage error: an
 option argparse rejects), 3 parse failure, 4 clique search budget

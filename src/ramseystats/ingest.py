@@ -7,10 +7,9 @@ Two routes in:
     (distance_classes), so no distance matrix is built, and one pass
     over the pairs in distance order sweeps every requested subgroup
     (vote_sweeps): a pair turning red costs one popcount, two if it lies
-    in G and an asked party, none outside every asked subgroup, and the
-    blue triangles follow from Goodman's degree identity, so no coloring
-    is built per threshold. sweep runs the same pass on a caller's own
-    distance matrix;
+    inside an asked party, and the blue triangles follow from Goodman's
+    degree identity, so no coloring is built per threshold. sweep runs
+    the same pass on a caller's own distance matrix;
   * directed weighted trade flows -> blue edges to each country's top-k
     import and export partners, red elsewhere.
 
@@ -238,9 +237,9 @@ def vote_sweeps(records: Sequence[VoterRecord], t_range: tuple[int, int | None],
 
     Each table equals sweep(d, t_range) for the Hamming distance matrix
     d of the subgroup's records, but no distance matrix is built:
-    distance_classes gives the pairs by distance, and one pass over them
-    sweeps every subgroup. A t_max of None means the largest distance + 1,
-    over all pairs of records.
+    distance_classes gives the pairs by distance, and one pass over all
+    of them, whatever subgroups are asked, sweeps every subgroup. A t_max
+    of None means the largest distance + 1, over all pairs of records.
     """
     groups = []
     for token in subgroups:
@@ -261,10 +260,10 @@ def _sweep(classes: Sequence[dict[int, int]], groups: Sequence[int],
 
     Each group is every vertex or one party, parties are disjoint, and
     identical groups are swept once. One pass over the pairs in distance
-    order grows red rows of only the partners sharing an asked group. A
-    pair turning red closes a red triangle per common red neighbour: one
-    popcount of the two rows, one more against the party if every
-    vertex's group is asked too. Blue follows from the red degrees.
+    order grows every vertex's red row, whatever groups are asked. A pair
+    turning red closes a red triangle per common red neighbour: one
+    popcount of the two rows, one more against the party if the pair lies
+    inside an asked party. Blue follows from the red degrees.
     """
     t_min, t_max = t_range
     if t_max is None:
@@ -282,42 +281,34 @@ def _sweep(classes: Sequence[dict[int, int]], groups: Sequence[int],
     n = len(classes)
     everyone = (1 << n) - 1
     masks = list(dict.fromkeys(groups))
-    whole = everyone in masks
     members = {mask: [v for v in range(n) if mask >> v & 1] for mask in masks}
     party = {v: mask for mask in masks if mask != everyone for v in members[mask]}
-    # joins[t - t_min][a]: the b > a sharing an asked group with a whose pair turns red at t
+    # joins[t - t_min][a]: the b > a whose pair turns red at t
     joins: list[dict[int, int]] = [{} for _ in range(t_max - t_min + 1)]
     for a, by_distance in enumerate(classes):
-        keep = party.get(a, 0)
         for dist, mask in by_distance.items():
             if dist <= t_max:
-                if not whole:  # with G asked, every partner shares it
-                    mask &= keep
-                    if not mask:
-                        continue
                 at_t = joins[dist - t_min if dist > t_min else 0]
                 at_t[a] = at_t.get(a, 0) | mask
 
     red, bits = [0] * n, [1 << v for v in range(n)]
-    red_counts = dict.fromkeys([0, *masks], 0)  # 0: vertices in no asked party
+    red_counts = dict.fromkeys([0, everyone, *masks], 0)  # 0: vertices in no asked party
     rows: dict[int, list] = {mask: [] for mask in masks}
     for t, at_t in enumerate(joins, start=t_min):
         for a, new in at_t.items():
             red_a, bit_a, own = red[a], bits[a], party.get(a, 0)
             count = inside = 0
-            if whole:  # a pair inside a's party counts for the party too
-                same, new = new & own, new & ~own
-                while same:
-                    b = same.bit_length() - 1
-                    bit = bits[b]
-                    same ^= bit
-                    row = red[b]
-                    common = red_a & row
-                    count += common.bit_count()
-                    inside += (common & own).bit_count()
-                    red_a |= bit
-                    red[b] = row | bit_a
-                red_counts[own] += inside
+            same, new = new & own, new & ~own  # a pair inside a's party counts for it too
+            while same:
+                b = same.bit_length() - 1
+                bit = bits[b]
+                same ^= bit
+                row = red[b]
+                common = red_a & row
+                count += common.bit_count()
+                inside += (common & own).bit_count()
+                red_a |= bit
+                red[b] = row | bit_a
             while new:
                 b = new.bit_length() - 1
                 bit = bits[b]
@@ -327,15 +318,15 @@ def _sweep(classes: Sequence[dict[int, int]], groups: Sequence[int],
                 red_a |= bit
                 red[b] = row | bit_a
             red[a] = red_a
-            red_counts[everyone if whole else own] += count
+            red_counts[own] += inside
+            red_counts[everyone] += count
         for mask in masks:
             size, red_count = len(members[mask]), red_counts[mask]
             if mask == everyone:
                 member_rows = red
-            else:
+            else:  # rows hold outsiders too
                 member_rows = map(red.__getitem__, members[mask])
-                if whole:  # rows may hold outsiders
-                    member_rows = map(mask.__and__, member_rows)
+                member_rows = map(mask.__and__, member_rows)
             mono = mono_triangles(size, list(map(int.bit_count, member_rows)))
             census = CliqueCensus(size, 3, math.comb(size, 3), red_count, mono - red_count)
             rows[mask].append((t, census))

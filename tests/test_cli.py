@@ -441,7 +441,7 @@ def test_t_max_one_past_votes_runs(runner, sample_votes_path, tmp_path, command)
     assert manifest["config"]["t_max"] == 17
 
 
-def test_late_failures_write_nothing(runner, sample_votes_path, tmp_path):
+def test_late_failures_write_nothing(runner, sample_votes_path, trade_small_path, tmp_path):
     votes, two, ring = str(sample_votes_path), tmp_path / "two.csv", tmp_path / "ring.csv"
     two.write_text("exporter,importer,volume\nA,B,3\n")
     ring.write_text("exporter,importer,volume\nA,B,1\nB,C,1\nC,D,1\nD,A,1\n")
@@ -454,9 +454,13 @@ def test_late_failures_write_nothing(runner, sample_votes_path, tmp_path):
          "need a positive t-max to normalize thresholds"),
         (["trade", "--input", str(two)], "need n >= 3, got 2"),
         (["trade", "--input", str(ring), "--k", "1"], floor_zero),
+        (["trade", "--input", str(trade_small_path), "--orders", ","], "orders list is empty"),
+        (["bounds", "--orders", " , "], "orders list is empty"),
         (["simulate", "--n", "6", "--samples", "0"], "samples must be >= 1, got 0"),
         (["simulate", "--n", "30", "--exhaustive"], "exhaustive n=30 exceeds the cap of 11"),
         (["simulate", "--t-min", "0.6", "--t-max", "0.2"], "need 0 <= t-min <= t-max <= 1"),
+        (["simulate", "--t-step", "0"], "t-step must be positive, got 0.0"),
+        (["simulate", "--t-step", "-0.05"], "t-step must be positive, got -0.05"),
         (["bounds", "--n-min", "9", "--n-max", "3"], "empty n range [9, 3]"),
     ):
         result = runner.invoke(main, [*args, "--out-dir", str(tmp_path / "out")])
@@ -820,6 +824,7 @@ def _count_lists(draw):
 @example(xs=[0, 0])
 @example(xs=[1, 2])
 @example(xs=[comb(5632, 3)] * 599 + [0])
+@example(xs=[0, 2**60])  # variance >= 2**109: _stdev shifts den, not num
 def test_simulate_mean_and_stderr_match_statistics(xs):
     assert simulate_command._stdev(xs).hex() == stdev(xs).hex()
     assert fsum(xs) / len(xs) == fmean(xs)

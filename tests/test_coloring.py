@@ -57,6 +57,15 @@ def test_construction_validation():
         rs.TwoColoring(2, (0b10, 0b01), labels=("only",))
 
 
+@pytest.mark.parametrize("name", ["foo", "red_rows", "n"])
+def test_coloring_is_immutable(name):
+    # red_rows is a cached_property, n a tuple field: neither can be set either
+    c = rs.from_blue_edges(3, [(0, 1)])
+    with pytest.raises(AttributeError) as err:
+        setattr(c, name, 0)
+    assert str(err.value) == f"TwoColoring is immutable; cannot set {name!r}"
+
+
 @pytest.mark.parametrize("call", [
     lambda c, color: c.rows(color),
     lambda c, color: c.has_edge(0, 1, color),

@@ -204,6 +204,12 @@ def test_hamming_length_mismatch():
         ingest.distance_classes(recs)
 
 
+def test_voter_record_rejects_other_symbols():
+    with pytest.raises(rs.InputError) as err:
+        rs.VoterRecord("1", "D", "YX")
+    assert str(err.value) == "vote string may only contain Y/N/A, got ['X']"
+
+
 def test_distance_matrix_validation():
     with pytest.raises(rs.InputError):
         rs.DistanceMatrix(((0, 1), (2, 0)))  # asymmetric
@@ -395,6 +401,7 @@ LONG = seeded_records(75, 16, seed=1)
 
 @settings(deadline=None)
 @given(records=voter_records(max_length=70))
+@example(records=[])
 @example(records=records_of("YNA"))
 @example(records=records_of("A" * 7, "A" * 7))
 @example(records=records_of("Y" * 16, "N" * 16, "A" * 16))
@@ -463,7 +470,7 @@ ALL_D = parties_of("DDDDD", "YNY", "YNN", "NNN", "YYY", "AYN")
 @example(case=(SIX, ["G", "D", "R"], 1, 5))  # G with the parties
 @example(case=(SIX, ["R", "D"], 0, None))  # parties without G
 @example(case=(WITH_I, ["G", "R", "D"], 0, None))  # I is in G but not asked
-@example(case=(WITH_I, ["D", "R"], 0, 2))  # I's pairs never join
+@example(case=(WITH_I, ["D", "R"], 0, 2))  # I's pairs join but count for no table
 @example(case=(ALL_D, ["G", "D"], 0, None))  # D's mask is G's
 @example(case=(ALL_D, ["D", "G", "D"], 2, 4))
 def test_vote_sweeps_match_threshold_census(case):
