@@ -26,11 +26,12 @@ from bisect import bisect_right
 from collections import Counter, defaultdict
 from contextlib import suppress
 from fractions import Fraction
-from itertools import accumulate, combinations, pairwise
+from itertools import accumulate, combinations, islice, pairwise
 from math import comb
 from operator import mul
 from typing import TYPE_CHECKING, Iterable, NamedTuple, Sequence
 
+from .cores import both
 from .errors import InputError, UndefinedDensityError, UnsupportedOrderError
 
 if TYPE_CHECKING:  # annotations only: simulate builds no coloring and loads none
@@ -243,8 +244,26 @@ def random_mono_counts(n: int, ts: Sequence[float], seeds: Iterable[int]) -> lis
     last bucket: blue at no t). A vertex's blue degrees at every t are
     the running sum of its row, and a table of d(n-1-d) gives Goodman's
     discordant sum (mono_triangles).
+
+    Seeds with a len() are iterated twice, for their two halves, and the
+    second half runs in a forked child when cores.both finds a second
+    core and enough work; the lists of the two halves are joined. Other
+    iterables of seeds are drawn once, in one pass.
     """
     _check_densities(n, ts)
+    half = len(seeds) // 2 if hasattr(seeds, "__len__") else 0
+    # simulate's charge per seed; a unit takes 50-300 ns, about 100 at the default n = 20
+    per_seed = comb(n, 2) + 26 + len(ts) * (n + 3)
+    counts, rest = both(lambda: _mono_counts(n, ts, islice(seeds, half)),
+                        lambda: _mono_counts(n, ts, islice(seeds, half, None)),
+                        half * per_seed * 100)
+    for at_t, more in zip(counts, rest):
+        at_t.extend(more)
+    return counts
+
+
+def _mono_counts(n: int, ts: Sequence[float], seeds: Iterable[int]) -> list[list[int]]:
+    """random_mono_counts in one pass over the seeds, on checked densities."""
     discordant = [d * (n - 1 - d) for d in range(n)].__getitem__
     triples = comb(n, 3)
     counts = [[] for _ in ts]

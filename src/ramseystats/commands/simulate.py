@@ -13,11 +13,28 @@ from . import _fail, _finish, _reject_options, _report, _resolve_out_dir
 # Monte Carlo simulate's work in units of one draw as fitted (0.34-0.37 us): a sample
 # is charged C(n,2) + 26 (its seed and call cost 36-40), each of its counts n + 3 (one
 # costs 1.7-6 units at n <= 20), and each density's row 1000 for the ~2 KB it holds
-# until written (it takes ~140). CLI runs at the cap's corners take 0.5-6.8 s and at
-# most 49 MB (2 cores, CPython 3.11.7).
+# until written (it takes ~140). CLI runs at the cap's corners took 0.5-6.8 s and at
+# most 49 MB on one core, and 0.6-2.9 s and at most 51 MB with the seeds split over
+# two (2 cores, CPython 3.11.7).
 MAX_SIMULATED_WORK = 16_000_000
 # simulate --exhaustive takes about 0.2 s at n=11 and 3.5 times more per n.
 MAX_EXHAUSTIVE_N = 11
+
+
+class _Seeds:
+    """The samples' seeds, 63 random bits each from random.Random(seed),
+    drawn anew each time they are iterated and never held in a list;
+    sized, so random_mono_counts can split them in halves."""
+
+    def __init__(self, seed: int, samples: int):
+        self.seed, self.samples = seed, samples
+
+    def __len__(self) -> int:
+        return self.samples
+
+    def __iter__(self):
+        master = random.Random(self.seed)
+        return (master.getrandbits(63) for _ in range(self.samples))
 
 
 def _stdev(xs: list[int]) -> float:
@@ -74,9 +91,7 @@ def main(run, n, t_min, t_max, t_step, samples, seed, exhaustive, fmt, out_dir):
                      f"units of work, above the cap of {MAX_SIMULATED_WORK}")
         grid = [lo + k * step for k in range(points)]
         ts = [float(tau) for tau in grid]
-        master = random.Random(seed)
-        counts = census_lib.random_mono_counts(
-            n, ts, (master.getrandbits(63) for _ in range(samples)))
+        counts = census_lib.random_mono_counts(n, ts, _Seeds(seed, samples))
         rows = [{
             "t": t,
             "analytic": float(bounds_lib.expected_mono(n, 3, tau).mono),

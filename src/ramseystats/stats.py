@@ -157,9 +157,12 @@ def bar_chi2(values: Sequence[float]) -> float:
     """Arithmetic mean of statistics across consecutive clique orders.
 
     The divisor is the true number of terms supplied (orders 3..M give
-    M-2 terms), not M-3.
+    M-2 terms), not M-3. The sum is math.fsum's, correctly rounded, so
+    the mean does not depend on the summation order or on the Python
+    version (the built-in sum compensates its float additions from
+    CPython 3.12 on).
     """
     if not values:
         raise InputError("need at least one statistic to average")
-    return sum(values) / len(values)
+    return math.fsum(values) / len(values)
 

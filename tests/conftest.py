@@ -114,3 +114,40 @@ SIX_VOTER_MATRIX = (
     (7, 7, 5, 5, 0, 3),
     (6, 5, 5, 4, 3, 0),
 )
+
+
+def assert_no_child_left():
+    """No child of this process is left unreaped, nor still running."""
+    try:
+        pid, _ = os.waitpid(-1, os.WNOHANG)
+    except ChildProcessError:
+        return
+    assert pid == 0, f"child {pid} was left unreaped"
+    pytest.fail("a child is still running")
+
+
+@pytest.fixture
+def forks(monkeypatch):
+    """Make cores.both fork whatever the work and the CPUs, and list the
+    forks; at teardown, no child may be left."""
+    from ramseystats import cores
+
+    count = []
+    real_fork = os.fork
+
+    def fork():
+        count.append(1)
+        return real_fork()
+
+    monkeypatch.setattr(cores, "_forks", lambda work: True)
+    monkeypatch.setattr(os, "fork", fork)
+    yield count
+    assert_no_child_left()
+
+
+@pytest.fixture
+def inline(monkeypatch):
+    """Make cores.both run both halves here, whatever the work and CPUs."""
+    from ramseystats import cores
+
+    monkeypatch.setattr(cores, "_forks", lambda work: False)

@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 
 import oracles
 import ramseystats as rs
-from ramseystats import Color, census
+from ramseystats import Color, census, cores
 
 
 def test_triangle_census_star(star_coloring):
@@ -203,6 +203,34 @@ def test_random_mono_counts_on_long_grids(n, seed, ts, repeats):
     counts = rs.random_mono_counts(n, ts, seeds)
     assert counts == [[rs.mono_triangles(n, oracles.blue_degrees(n, t, s)) for s in seeds]
                       for t in ts]
+
+
+def test_random_mono_counts_forked_and_inline_agree(monkeypatch, forks):
+    ts = [k / 20 for k in range(21)]
+    seeds = [random.Random(5).getrandbits(63) for _ in range(301)]  # halves of 150 and 151
+    forked = rs.random_mono_counts(20, ts, seeds)
+    assert forks == [1]
+    monkeypatch.setattr(cores, "_forks", lambda work: False)
+    assert rs.random_mono_counts(20, ts, seeds) == forked
+    assert census._mono_counts(20, ts, seeds) == forked  # one pass
+    assert forks == [1]
+
+
+def test_random_mono_counts_splits_sized_seeds_in_halves(monkeypatch, inline):
+    halves = []
+    real = census._mono_counts
+
+    def spy(n, ts, seeds):
+        seeds = list(seeds)
+        halves.append(seeds)
+        return real(n, ts, seeds)
+
+    monkeypatch.setattr(census, "_mono_counts", spy)
+    for seeds, want in (([4, 5, 6, 7, 8], [[4, 5], [6, 7, 8]]), ([4], [[], [4]]),
+                        (range(3), [[0], [1, 2]]), (iter([4, 5, 6]), [[], [4, 5, 6]])):
+        halves.clear()
+        rs.random_mono_counts(6, [0.5], seeds)
+        assert halves == want
 
 
 @pytest.mark.parametrize("n", range(1, 12))

@@ -19,8 +19,8 @@ from hypothesis import strategies as st
 
 import oracles
 import ramseystats as rs
-from conftest import CliRunner
-from ramseystats import census, cli, report
+from conftest import CliRunner, assert_no_child_left
+from ramseystats import census, cli, cores, report
 from ramseystats.cli import OUT_DIR_ENV, main
 from ramseystats.commands import bounds as bounds_command
 from ramseystats.commands import simulate as simulate_command
@@ -265,7 +265,7 @@ def _loaded(args, tmp_path):
 
 _VOTES = str(Path(__file__).parent / "data" / "house-votes-84-sample.csv")
 _TRADE = str(Path(__file__).parent / "data" / "trade-small.csv")
-_TRADE_MODULES = ("census", "coloring", "ingest", "stats")
+_TRADE_MODULES = ("census", "coloring", "cores", "ingest", "stats")
 
 
 def _run_loads(command, *extra):
@@ -276,11 +276,11 @@ def _run_loads(command, *extra):
 
 @pytest.mark.parametrize("args, want", [
     (["bounds"], _run_loads("bounds")),
-    (["simulate", "--exhaustive", "--n", "4"], _run_loads("simulate", "census")),
-    (["simulate", "--n", "4", "--samples", "2"], _run_loads("simulate", "census")),
-    (["sweep", "--input", _VOTES], _run_loads("sweep", "census", "ingest")),
+    (["simulate", "--exhaustive", "--n", "4"], _run_loads("simulate", "census", "cores")),
+    (["simulate", "--n", "4", "--samples", "2"], _run_loads("simulate", "census", "cores")),
+    (["sweep", "--input", _VOTES], _run_loads("sweep", "census", "cores", "ingest")),
     (["chi2", "--kind", "votes", "--input", _VOTES],
-     _run_loads("chi2", "census", "ingest", "stats")),
+     _run_loads("chi2", "census", "cores", "ingest", "stats")),
     (["trade", "--input", _TRADE], _run_loads("trade", *_TRADE_MODULES)),
     (["chi2", "--kind", "trade", "--input", _TRADE], _run_loads("chi2", *_TRADE_MODULES)),
     ([], {_CLI}),
@@ -396,8 +396,11 @@ def test_usage_errors_exit_2(runner, tmp_path, monkeypatch, args, named):
 
 # The --help text of ramseystats and of each command, as written before the
 # commands moved into modules of their own, at the 80 columns argparse falls
-# back to when the output is not a terminal (CPython 3.11's argparse)
-_HELP = json.loads((Path(__file__).parent / "data" / "help.json").read_text())
+# back to when the output is not a terminal: CPython 3.11's argparse, which
+# 3.12 matches, and the texts 3.13's argparse writes otherwise (it widens the
+# command column to fit "simulate")
+_HELP_TEXTS = json.loads((Path(__file__).parent / "data" / "help.json").read_text())
+_HELP = {**_HELP_TEXTS["3.11"], **(_HELP_TEXTS["3.13"] if sys.version_info >= (3, 13) else {})}
 
 
 @pytest.mark.parametrize("command", [[], *([c] for c in cli._COMMANDS)],
@@ -412,7 +415,9 @@ def test_help_exits_0(runner, tmp_path, monkeypatch, command):
 
 
 def test_help_has_no_stale_entry():
-    assert set(_HELP) <= {"ramseystats", *cli._COMMANDS}
+    assert sorted(_HELP_TEXTS) == ["3.11", "3.13"]
+    for texts in _HELP_TEXTS.values():
+        assert set(texts) <= {"ramseystats", *cli._COMMANDS}
 
 
 @pytest.mark.parametrize("command", ["sweep", "chi2"])
@@ -800,6 +805,39 @@ def test_simulate_monte_carlo_matches_census_oracle(n, seed, samples, step):
         assert row["empirical"] == fmean(counts)
         want = stdev(counts) / sqrt(samples) if samples > 1 else 0.0
         assert row["stderr"] == want
+
+
+def test_simulate_seeds_are_drawn_anew_each_pass():
+    seeds = simulate_command._Seeds(3, 5)
+    master = random.Random(3)
+    assert len(seeds) == 5
+    assert list(seeds) == list(seeds) == [master.getrandbits(63) for _ in range(5)]
+
+
+@pytest.mark.parametrize("args", [
+    ["sweep", "--subgroup", "G", "--subgroup", "D", "--subgroup", "R"],
+    ["chi2", "--kind", "votes", "--subgroup", "D", "--subgroup", "R", "--format", "json"],
+    ["simulate", "--n", "20", "--samples", "200", "--seed", "4"],
+], ids=["sweep", "chi2-votes", "monte-carlo"])
+def test_forked_commands_reap_their_child_and_match_inline(runner, tmp_path, monkeypatch,
+                                                            forks, args):
+    if args[0] != "simulate":  # 435 records of 16 votes, as the house-votes file has
+        rnd = random.Random(11)
+        votes = tmp_path / "votes.data"
+        votes.write_text("".join(
+            ",".join([rnd.choice(["democrat", "republican"]), *rnd.choices("yn?", k=16)]) + "\n"
+            for _ in range(435)))
+        args = [*args, "--input", str(votes)]
+    outputs = []
+    for mode in ("forked", "inline"):
+        out = tmp_path / mode
+        result = run_ok(runner, [*args, "--out-dir", str(out)])
+        assert_no_child_left()
+        files = {p.name: p.read_bytes() for p in out.iterdir() if p.name != "manifest.json"}
+        outputs.append((result.stdout.replace(str(out), "<out>"), files))
+        monkeypatch.setattr(cores, "_forks", lambda work: False)
+    assert forks == [1]
+    assert outputs[0] == outputs[1]
 
 
 # Monte Carlo counts: at most C(5632,3), the count at the cap's largest n

@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 
 import oracles
 import ramseystats as rs
-from ramseystats import Color, coloring, ingest
+from ramseystats import Color, coloring, cores, ingest
 from conftest import DATA, SIX_VOTER_MATRIX
 
 
@@ -486,6 +486,49 @@ def test_vote_sweeps_match_threshold_census(case):
         assert [t for t, _ in table.rows] == list(range(t_min, last + 1))
         for t, census in table.rows:
             assert census == rs.triangle_census(oracles.threshold_coloring(sub, t))
+
+
+def group_masks(records, subgroups):
+    """vote_sweeps' vertex mask of each subgroup token."""
+    return [sum(1 << i for i in oracles.subgroup_indices(records, token))
+            for token in subgroups]
+
+
+@settings(deadline=None)
+@given(case=vote_sweep_cases())
+@example(case=(SIX, ["G", "D", "R"], 1, 1))  # one level, t_min > 0
+@example(case=(SIX, ["D", "G"], 0, 0))
+@example(case=(WITH_I, ["R", "D"], 1, 2))
+@example(case=(LONG, ["G", "D", "R"], 3, 9))  # t_max below the largest distance
+@example(case=(LONG, ["R", "G", "R"], 0, None))
+def test_two_ended_sweep_equals_one_pass_at_every_cut(case):
+    records, subgroups, t_min, t_max = case
+    classes = ingest.distance_classes(records)
+    groups = group_masks(records, subgroups)
+    t_min, t_max = ingest._checked_range(classes, groups, (t_min, t_max))
+    one_pass = ingest._sweep(classes, groups, (t_min, t_max))
+    for cut in range(t_min - 1, t_max + 1):  # the lower or the upper half may be empty
+        assert ingest._two_ended(classes, groups, (t_min, t_max), cut, 0) == one_pass
+    cut, work = ingest._halving_cut(classes, groups, (t_min, t_max))
+    assert t_min - 1 <= cut <= t_max and work >= 0
+
+
+# 435 records of 16 votes, as the house-votes file has
+FULL = seeded_records(435, 16, seed=3)
+
+
+def test_forked_and_inline_sweeps_agree_on_435_records(monkeypatch, forks):
+    classes = ingest.distance_classes(FULL)
+    groups = group_masks(FULL, "GDR")
+    t_range = ingest._checked_range(classes, groups, (0, None))
+    _, work = ingest._halving_cut(classes, groups, t_range)
+    assert work >= cores.MIN_FORK_WORK  # this size forks on two cores
+    forked = rs.vote_sweeps(FULL, (0, None), "GDR")
+    assert forks == [1]
+    monkeypatch.setattr(rs.cores, "_forks", lambda work: False)
+    assert rs.vote_sweeps(FULL, (0, None), "GDR") == forked
+    assert ingest._sweep(classes, groups, t_range) == forked
+    assert forks == [1]
 
 
 def test_vote_sweeps_error_messages(sample_records):

@@ -1,4 +1,6 @@
+import functools
 import math
+import operator
 from fractions import Fraction
 
 import pytest
@@ -128,3 +130,15 @@ def test_bar_chi2():
     assert rs.bar_chi2(values[:1]) == values[0]
     with pytest.raises(rs.InputError):
         rs.bar_chi2([])
+
+
+@pytest.mark.parametrize("values, mean", [
+    ([0.1] * 10, 0.1),
+    ([1e16, 1.0, 1.0], 10000000000000002 / 3),
+    ([0.10000000000000002, 0.02925, 0.001828125], 0.04369270833333334),  # trade-small
+])
+def test_bar_chi2_sum_is_correctly_rounded(values, mean):
+    # left-to-right float addition, the built-in sum up to CPython 3.11, rounds
+    # differently on these; bar_chi2 takes the correctly rounded math.fsum
+    assert functools.reduce(operator.add, values) / len(values) != mean
+    assert rs.bar_chi2(values) == mean == math.fsum(values) / len(values)
