@@ -31,7 +31,6 @@ from math import comb
 from operator import mul
 from typing import TYPE_CHECKING, Iterable, NamedTuple, Sequence
 
-from .cores import both
 from .errors import InputError, UndefinedDensityError, UnsupportedOrderError
 
 if TYPE_CHECKING:  # annotations only: simulate builds no coloring and loads none
@@ -250,6 +249,8 @@ def random_mono_counts(n: int, ts: Sequence[float], seeds: Iterable[int]) -> lis
     core and enough work; the lists of the two halves are joined. Other
     iterables of seeds are drawn once, in one pass.
     """
+    from .cores import both
+
     _check_densities(n, ts)
     half = len(seeds) // 2 if hasattr(seeds, "__len__") else 0
     # simulate's charge per seed; a unit takes 50-300 ns, about 100 at the default n = 20

@@ -1,4 +1,5 @@
 import csv
+import gc
 import importlib.util
 import json
 import os
@@ -7,7 +8,10 @@ import subprocess
 import sys
 import tempfile
 import time
+import tomllib
+import warnings
 from collections import Counter
+from contextlib import contextmanager
 from fractions import Fraction
 from math import comb, fsum, sqrt
 from pathlib import Path
@@ -276,7 +280,7 @@ def _run_loads(command, *extra):
 
 @pytest.mark.parametrize("args, want", [
     (["bounds"], _run_loads("bounds")),
-    (["simulate", "--exhaustive", "--n", "4"], _run_loads("simulate", "census", "cores")),
+    (["simulate", "--exhaustive", "--n", "4"], _run_loads("simulate", "census")),
     (["simulate", "--n", "4", "--samples", "2"], _run_loads("simulate", "census", "cores")),
     (["sweep", "--input", _VOTES], _run_loads("sweep", "census", "cores", "ingest")),
     (["chi2", "--kind", "votes", "--input", _VOTES],
@@ -302,6 +306,96 @@ def test_help_loads_no_command_module(tmp_path, bare_stdlib, args):
     assert modules == [_CLI]
     for name in _CHECKED:
         assert not stdlib[name] or bare_stdlib[name], name
+
+
+# (arguments, exit code) of in-process runs: every command, and the ways out of
+# one that has read its input part way
+_IN_PROCESS = {
+    "bounds": (["bounds", "--n-max", "8"], 0),
+    "exhaustive": (["simulate", "--exhaustive", "--n", "4"], 0),
+    "monte-carlo": (["simulate", "--n", "4", "--samples", "2"], 0),
+    "sweep": (["sweep", "--input", _VOTES], 0),
+    "chi2-votes": (["chi2", "--kind", "votes", "--input", _VOTES, "--format", "json"], 0),
+    "chi2-trade": (["chi2", "--kind", "trade", "--input", _TRADE], 0),
+    "trade": (["trade", "--input", _TRADE], 0),
+    "trade-budget": (["trade", "--input", _TRADE, "--k", "2", "--clique-budget", "1"], 4),
+    "parse-error": (["sweep", "--input", _TRADE], 3),
+}
+
+
+@pytest.mark.parametrize("args, code", _IN_PROCESS.values(), ids=_IN_PROCESS)
+def test_in_process_main_keeps_the_collector(runner, tmp_path, args, code):
+    frozen = gc.get_freeze_count()
+    assert runner.invoke(main, [*args, "--out-dir", str(tmp_path)]).exit_code == code
+    assert gc.get_freeze_count() == frozen
+
+
+@contextmanager
+def _unclosed_files():
+    """The files left open for the collector to close, up to a final
+    gc.collect(): each one's ResourceWarning, raised as an error, reaches
+    sys.unraisablehook."""
+    seen = []
+    hook = sys.unraisablehook
+    sys.unraisablehook = lambda u: seen.append(f"{u.exc_type.__name__}: {u.exc_value}")
+    try:
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", ResourceWarning)
+            yield seen
+            gc.collect()
+    finally:
+        sys.unraisablehook = hook
+
+
+def test_unclosed_files_sees_a_file_left_in_a_cycle(tmp_path):
+    with _unclosed_files() as seen:
+        cycle = [open(tmp_path / "left.txt", "w")]
+        cycle.append(cycle)
+        del cycle
+    assert len(seen) == 1 and seen[0].startswith("ResourceWarning: unclosed file"), seen
+
+
+@pytest.mark.parametrize("args, code", _IN_PROCESS.values(), ids=_IN_PROCESS)
+def test_no_command_leaves_a_file_open(runner, tmp_path, args, code):
+    # a process exits with its heap frozen (cli.run), so no collection would
+    # close such a file and flush its buffered tail
+    with _unclosed_files() as seen:
+        assert runner.invoke(main, [*args, "--out-dir", str(tmp_path)]).exit_code == code
+    assert seen == []
+
+
+_ENTRY = """
+import gc, runpy, sys
+entry, out = sys.argv[1:]
+frozen = gc.get_freeze_count()
+sys.argv = ["ramseystats", "bounds", "--n-max", "8", "--out-dir", out]
+try:
+    if entry == "run":
+        from ramseystats.cli import run
+        run()
+    else:
+        runpy.run_module("ramseystats.cli", run_name="__main__")
+except SystemExit as exc:
+    if exc.code not in (0, None):
+        raise
+print(gc.get_freeze_count() > frozen)  # 3.12 starts with a few objects frozen
+"""
+
+
+@pytest.mark.parametrize("entry", ["run", "python-m"])
+def test_process_entries_freeze_the_heap(tmp_path, entry):
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = {**os.environ, "PYTHONPATH": str(src)}
+    proc = subprocess.run([sys.executable, "-c", _ENTRY, entry, str(tmp_path / "out")],
+                          env=env, capture_output=True, text=True, timeout=60, check=True)
+    *_, wrote, frozen = proc.stdout.splitlines()
+    assert wrote.startswith("wrote ")
+    assert frozen == "True"
+
+
+def test_console_script_is_the_process_entry():
+    with open(Path(__file__).resolve().parents[1] / "pyproject.toml", "rb") as f:
+        assert tomllib.load(f)["project"]["scripts"] == {"ramseystats": "ramseystats.cli:run"}
 
 
 def test_votes_format_option_is_gone(runner, sample_votes_path, tmp_path):
