@@ -21,16 +21,16 @@ __version__ = "0.1.0"  # the one declaration; pyproject.toml reads it
 _EXPORTS = {
     **dict.fromkeys(("GoodmanBound", "expected_mono", "goodman_fraction", "goodman_min",
                      "thomason_bound"), "bounds"),
-    **dict.fromkeys(("CliqueCensus", "MaxCliqueResult", "clique_census", "max_clique",
-                     "mono_distribution", "mono_triangles", "neighborhood_density",
-                     "per_vertex_triangles", "random_coloring", "random_mono_counts",
-                     "triangle_census"), "census"),
+    **dict.fromkeys(("CliqueCensus", "mono_distribution", "mono_triangles", "random_coloring",
+                     "random_mono_counts"), "census"),
+    **dict.fromkeys(("MaxCliqueResult", "clique_census", "max_clique", "neighborhood_density",
+                     "per_vertex_triangles", "triangle_census"), "trade.census"),
     **dict.fromkeys(("Color", "TwoColoring", "from_blue_edges", "path_count"), "coloring"),
     **dict.fromkeys(("DegenerateReferenceError", "InputError", "ParseError",
                      "UndefinedDensityError", "UnsupportedOrderError"), "errors"),
-    **dict.fromkeys(("DistanceMatrix", "SweepTable", "TradeFlow", "VoterRecord",
-                     "build_trade_graph", "parse_trade_flows", "parse_votes", "sweep",
+    **dict.fromkeys(("DistanceMatrix", "SweepTable", "VoterRecord", "parse_votes", "sweep",
                      "vote_sweeps"), "ingest"),
+    **dict.fromkeys(("TradeFlow", "build_trade_graph", "parse_trade_flows"), "trade.ingest"),
     **dict.fromkeys(("Chi2Report", "bar_chi2", "chi2", "chi2_deviation", "chi2_vs_goodman",
                      "p_value"), "stats"),
 }

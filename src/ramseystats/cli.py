@@ -140,7 +140,7 @@ def main(args=None, standalone_mode=True) -> None:
     standalone_mode, which is accepted for callers that pass it.
 
     The command module's main gets the command's parameters, and first
-    run: the command, its options, its parameters, and given, the
+    job: the command, its options, its parameters, and given, the
     options given on the command line."""
     args = _last_values(sys.argv[1:] if args is None else args)
     given = vars(_parser(args).parse_args(args))
@@ -151,7 +151,7 @@ def main(args=None, standalone_mode=True) -> None:
         params[dest] = default
     params["out_dir"] = os.environ.get(OUT_DIR_ENV) or "."  # an empty variable counts as unset
     params.update(given)
-    run = argparse.Namespace(command=command, options=options, params=params, given=given)
+    job = argparse.Namespace(command=command, options=options, params=params, given=given)
     name = f"{__package__}.commands.{command}"
     __import__(name)  # not importlib.import_module, whose imports -X importtime omits
     module = sys.modules[name]
@@ -159,7 +159,7 @@ def main(args=None, standalone_mode=True) -> None:
     from .errors import InputError
 
     try:
-        module.main(run, **params)
+        module.main(job, **params)
     except InputError as exc:
         _fail(1, str(exc))
 

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .. import bounds as bounds_lib, census as census_lib, ingest, report, stats
+from .. import bounds as bounds_lib, report, stats
 from . import _fail, _finish, _load, _reject_options, _report, _resolve_out_dir, _safe_name
 from . import _votes_sweeps
 
@@ -74,6 +74,8 @@ def main(run, input_path, kind, subgroups, t_min, t_max, df, k, significance, fm
             for token, table in tables
         ]
     else:
+        from ..trade import census as census_lib, ingest
+
         graph = ingest.build_trade_graph(_load(input_path, ingest.parse_trade_flows, "flows"), k)
         if k > graph.n:
             _fail(1, f"--k {k} above the {graph.n} countries of the trade graph")

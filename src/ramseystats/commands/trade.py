@@ -2,9 +2,10 @@
 
 import contextlib
 
-from .. import bounds as bounds_lib, census as census_lib, ingest, report, stats
+from .. import bounds as bounds_lib, report, stats
 from ..coloring import Color
 from ..errors import UndefinedDensityError
+from ..trade import census as census_lib, ingest
 from . import _fail, _finish, _load, _parse_orders, _report, _resolve_out_dir
 
 

@@ -1,23 +1,21 @@
-"""Turn raw datasets into two-colored complete graphs.
+"""Turn vote records into two-colored complete graphs.
 
-Two routes in:
-  * categorical vote records -> pairs bucketed by Hamming distance ->
-    threshold colorings (red at or below the threshold, blue above),
-    swept over a threshold range. The buckets are bit-sliced
-    (distance_classes), so no distance matrix is built, and one pass
-    over the pairs in distance order sweeps every requested subgroup
-    (vote_sweeps): a pair turning red costs one popcount, two if it lies
-    inside an asked party, and the blue triangles follow from Goodman's
-    degree identity, so no coloring is built per threshold. vote_sweeps
-    runs that pass from both ends: red grows from t_min up to a cut that
-    halves the work, blue from t_max down to it, by the same kernel on
-    reflected distances, and the second half runs in a forked child when
-    a second CPU is free and the half takes 2.5 ms or more (cores.both).
-    On 435 records the halves take about 20 and 18 ms, where the one pass
-    took 40 (2 cores, CPython 3.11.7). sweep runs the one pass, from
-    t_min up, on a caller's own distance matrix;
-  * directed weighted trade flows -> blue edges to each country's top-k
-    import and export partners, red elsewhere.
+Categorical vote records -> pairs bucketed by Hamming distance ->
+threshold colorings (red at or below the threshold, blue above), swept
+over a threshold range. The buckets are bit-sliced over the whole
+record-by-record matrix (distance_levels), so no distance matrix is
+built, and one pass over the pairs in distance order sweeps every
+requested subgroup (vote_sweeps): a pair turning red costs one popcount,
+two if it lies inside an asked party, and the blue triangles follow from
+Goodman's degree identity, so no coloring is built per threshold.
+vote_sweeps runs that pass from both ends: red grows from t_min up to a
+cut that halves the work, blue from t_max down to it, by the same kernel
+on reflected distances, and the second half runs in a forked child when
+a second CPU is free and the half takes 2.5 ms or more (cores.both). On
+435 records the levels and the cut take about 2.5 ms and the halves
+about 25 and 23 ms, where the one pass takes 48 (shared 2-core host,
+CPython 3.11.7). sweep runs the one pass, from t_min up, on a caller's
+own distance matrix. Trade flows are read by trade.ingest.
 
 Parsing is strict: wrong field counts and unknown tokens fail with the
 line the offending row starts on rather than being papered over.
@@ -27,14 +25,11 @@ from __future__ import annotations
 
 import csv
 import math
-from typing import TYPE_CHECKING, Iterable, Iterator, NamedTuple, Sequence
+from typing import Iterable, Iterator, NamedTuple, Sequence
 
 from .census import CliqueCensus, mono_triangles
 from .cores import both
 from .errors import InputError, ParseError
-
-if TYPE_CHECKING:  # annotations only: sweep builds no coloring and loads none
-    from .coloring import TwoColoring
 
 _HOUSE_VOTES_FIELDS = 17
 _VOTE_TOKENS = {"y": "Y", "n": "N", "?": "A", "a": "A"}
@@ -52,21 +47,6 @@ class VoterRecord(NamedTuple("VoterRecord", [("id", str), ("party", str), ("vote
         bad = set(votes) - {"Y", "N", "A"}
         if bad:
             raise InputError(f"vote string may only contain Y/N/A, got {sorted(bad)}")
-
-
-class TradeFlow(NamedTuple("TradeFlow", [("exporter", str), ("importer", str),
-                                         ("volume", float)])):
-    """One directed flow: exporter ships `volume` worth to importer."""
-
-    __slots__ = ()
-
-    def __init__(self, exporter, importer, volume):
-        if not exporter or not importer:
-            raise InputError("country labels must be non-empty")
-        if exporter == importer:
-            raise InputError(f"self-flow for {exporter!r}")
-        if not math.isfinite(volume) or volume < 0:
-            raise InputError(f"volume must be finite and >= 0, got {volume}")
 
 
 class DistanceMatrix(NamedTuple("DistanceMatrix", [("n", int),
@@ -158,59 +138,68 @@ def _normalize_votes(tokens: Sequence[str], lineno: int) -> str:
     return "".join(out)
 
 
-def distance_classes(records: Sequence[VoterRecord]) -> list[dict[int, int]]:
-    """classes[a][d]: the bitmask of the records b > a at Hamming
-    distance exactly d from record a, for each d that occurs. The
-    distance counts the positions where two votes differ; A is an
-    ordinary third symbol, matching only another A.
+# _OTHERWISE[ch] turns a bill's votes, one symbol per record, into the
+# binary numeral of the records voting other than ch
+_OTHERWISE = {ch: str.maketrans({other: "0" if other == ch else "1" for other in "YNA"})
+              for ch in "YNA"}
 
-    Bit-sliced, with no loop over pairs: each (bill, vote) gets the
-    mask of the records voting otherwise on that bill, and for record a
-    a carry-save counter adds up its L masks, one per bill, into binary
-    bit-planes over all records (plane k holds bit k of every count).
-    Splitting the records above a by the planes gives the classes. That
-    is O(L log L) big-int operations per record, for L bills.
+
+def _matrix(rows: Sequence[int]) -> int:
+    """The n x n matrix mask, n = len(rows), whose row a is rows[a]: each
+    row takes width = ceil(n / 8) bytes, little-endian, so the pair (a, b)
+    is bit 8 * width * a + b."""
+    width = (len(rows) + 7) // 8
+    return int.from_bytes(b"".join(row.to_bytes(width, "little") for row in rows), "little")
+
+
+def distance_levels(records: Sequence[VoterRecord]) -> dict[int, int]:
+    """levels[d]: the pairs a < b of records at Hamming distance exactly
+    d, for each d that occurs, as one matrix mask (_matrix). The distance
+    counts the positions where two votes differ; A is an ordinary third
+    symbol, matching only another A.
+
+    Bit-sliced over the whole matrix, with no loop over pairs: a bill's
+    matrix holds in row a the records voting otherwise than a on it, a
+    carry-save counter adds the L bill matrices up into binary bit-planes
+    (plane k holds bit k of every pair's distance), and splitting the
+    upper triangle by the planes gives the levels. That is O(L log L)
+    operations on ints of n * ceil(n / 8) bytes, for L bills.
     """
     n = len(records)
     if n == 0:
-        return []
+        return {}
     length = len(records[0].votes)
     for r in records:
         if len(r.votes) != length:
             raise InputError(f"record {r.id!r} has length {len(r.votes)}, expected {length}")
-    everyone = (1 << n) - 1
-    voted = [dict.fromkeys("YNA", 0) for _ in range(length)]
-    for i, r in enumerate(records):
-        bit = 1 << i
-        for by_vote, ch in zip(voted, r.votes):
-            by_vote[ch] |= bit
-    differ = [{ch: everyone ^ mask for ch, mask in by_vote.items()} for by_vote in voted]
-    classes = []
-    for a, r in enumerate(records):
-        planes: list[int] = []
-        for by_vote, ch in zip(differ, r.votes):
-            carry = by_vote[ch]
-            for k, plane in enumerate(planes):
-                planes[k] = plane ^ carry
-                carry &= plane
-                if not carry:
-                    break
-            else:
-                if carry:
-                    planes.append(carry)
-        above = everyone >> (a + 1) << (a + 1)
-        parts = [(0, above)] if above else []
+    width = (n + 7) // 8  # bytes per row, as in _matrix
+    planes: list[int] = []
+    for bill in zip(*(r.votes for r in records)):
+        numeral = "".join(reversed(bill))  # record i is digit i from the right
+        otherwise = {ch: int(numeral.translate(table), 2).to_bytes(width, "little")
+                     for ch, table in _OTHERWISE.items()}
+        carry = int.from_bytes(b"".join(map(otherwise.__getitem__, bill)), "little")
         for k, plane in enumerate(planes):
-            split = []
-            for dist, mask in parts:
-                far = mask & plane
-                if far:
-                    split.append((dist | 1 << k, far))
-                if far != mask:
-                    split.append((dist, mask ^ far))
-            parts = split
-        classes.append(dict(parts))
-    return classes
+            planes[k] = plane ^ carry
+            carry &= plane
+            if not carry:
+                break
+        else:
+            if carry:
+                planes.append(carry)
+    everyone = (1 << n) - 1
+    upper = _matrix([everyone >> a + 1 << a + 1 for a in range(n)])
+    levels = {0: upper} if upper else {}
+    for k, plane in enumerate(planes):
+        split = {}
+        for dist, mask in levels.items():
+            far = mask & plane
+            if far:
+                split[dist | 1 << k] = far
+            if far != mask:
+                split[dist] = mask ^ far
+        levels = split
+    return levels
 
 
 class SweepTable(NamedTuple):
@@ -229,14 +218,16 @@ def sweep(d: DistanceMatrix, t_range: tuple[int, int | None]) -> SweepTable:
     above. This is the one-pass sweep, from t_min up; vote_sweeps sweeps
     several subgroups of vote records at once, and from both ends.
     """
-    classes = []
+    rows_at: dict[int, list[int]] = {}  # by distance: row a holds the b > a at it
     for a, row in enumerate(d.d):
-        by_distance: dict[int, int] = {}
         for b in range(a + 1, d.n):
-            by_distance[row[b]] = by_distance.get(row[b], 0) | 1 << b
-        classes.append(by_distance)
+            rows = rows_at.get(row[b])
+            if rows is None:
+                rows = rows_at[row[b]] = [0] * d.n
+            rows[a] |= 1 << b
+    levels = {dist: _matrix(rows) for dist, rows in rows_at.items()}
     groups = [(1 << d.n) - 1]
-    return _sweep(classes, groups, _checked_range(classes, groups, t_range))[0]
+    return _sweep(d.n, levels, groups, _checked_range(levels, groups, t_range))[0]
 
 
 def vote_sweeps(records: Sequence[VoterRecord], t_range: tuple[int, int | None],
@@ -246,7 +237,7 @@ def vote_sweeps(records: Sequence[VoterRecord], t_range: tuple[int, int | None],
 
     Each table equals sweep(d, t_range) for the Hamming distance matrix
     d of the subgroup's records, but no distance matrix is built:
-    distance_classes gives the pairs by distance, and one pass over them,
+    distance_levels gives the pairs by distance, and one pass over them,
     whatever subgroups are asked, sweeps every subgroup. A t_max of None
     means the largest distance + 1, over all pairs of records. The pass
     runs from both ends (_two_ended), on two cores when they are free.
@@ -260,21 +251,20 @@ def vote_sweeps(records: Sequence[VoterRecord], t_range: tuple[int, int | None],
         if not mask:
             raise InputError(f"subgroup {token!r} matches no records")
         groups.append(mask)
-    classes = distance_classes(records)
-    t_range = _checked_range(classes, groups, t_range)
-    cut, work = _halving_cut(classes, groups, t_range)
-    return _two_ended(classes, groups, t_range, cut, work)
+    n, levels = len(records), distance_levels(records)
+    t_range = _checked_range(levels, groups, t_range)
+    cut, work = _halving_cut(n, levels, groups, t_range)
+    return _two_ended(n, levels, groups, t_range, cut, work)
 
 
-def _checked_range(classes: Sequence[dict[int, int]], groups: Sequence[int],
+def _checked_range(levels: dict[int, int], groups: Sequence[int],
                    t_range: tuple[int, int | None]) -> tuple[int, int]:
-    """The threshold range of a sweep of groups over classes, with a t_max
+    """The threshold range of a sweep of groups over levels, with a t_max
     of None resolved to the largest distance + 1; fails on an empty or
     negative range or a group of fewer than 3 vertices."""
     t_min, t_max = t_range
     if t_max is None:
-        t_max = max((max(by_distance) for by_distance in classes if by_distance),
-                    default=0) + 1
+        t_max = max(levels, default=0) + 1
     if t_min > t_max:
         raise InputError(f"empty threshold range [{t_min}, {t_max}]")
     for group in groups:
@@ -285,7 +275,7 @@ def _checked_range(classes: Sequence[dict[int, int]], groups: Sequence[int],
     return t_min, t_max
 
 
-def _halving_cut(classes: Sequence[dict[int, int]], groups: Sequence[int],
+def _halving_cut(n: int, levels: dict[int, int], groups: Sequence[int],
                  t_range: tuple[int, int]) -> tuple[int, int]:
     """The cut in [t_min - 1, t_max] that splits _two_ended's work most
     evenly, and the estimated time of its smaller half in nanoseconds.
@@ -298,15 +288,13 @@ def _halving_cut(classes: Sequence[dict[int, int]], groups: Sequence[int],
     and 300 ns per member of each distinct group on a level's census.
     """
     t_min, t_max = t_range
-    everyone = (1 << len(classes)) - 1
+    everyone = (1 << n) - 1
     masks = list(dict.fromkeys(groups))
     parties = [mask for mask in masks if mask != everyone]
-    work: dict[int, int] = {}  # by distance
-    for a, by_distance in enumerate(classes):
-        own = next((mask for mask in parties if mask >> a & 1), 0)
-        for dist, mask in by_distance.items():
-            ns = 300 * mask.bit_count() + 150 * (mask & own).bit_count()
-            work[dist] = work.get(dist, 0) + ns
+    # row a: a's asked party, if any, so a level & same_party holds its pairs inside one
+    same_party = _matrix([next((mask for mask in parties if mask >> a & 1), 0) for a in range(n)])
+    work = {dist: 300 * mask.bit_count() + 150 * (mask & same_party).bit_count()
+            for dist, mask in levels.items()}  # by distance
     census_ns = 300 * sum(mask.bit_count() for mask in masks)  # per level
 
     def halves(cut: int) -> tuple[int, int]:
@@ -321,13 +309,13 @@ def _halving_cut(classes: Sequence[dict[int, int]], groups: Sequence[int],
     return cut, smaller
 
 
-def _two_ended(classes: Sequence[dict[int, int]], groups: Sequence[int],
+def _two_ended(n: int, levels: dict[int, int], groups: Sequence[int],
                t_range: tuple[int, int], cut: int, work: int) -> list[SweepTable]:
-    """_sweep(classes, groups, t_range), run from both ends of the range.
+    """_sweep(n, levels, groups, t_range), run from both ends of the range.
 
     The levels t_min..cut are swept from t_min up. The levels above the
     cut are swept by the same kernel from t_max down, on the reflected
-    classes: distance d becomes level t_max + 1 - d, so the color that
+    levels: distance d becomes level t_max + 1 - d, so the color that
     grows there is blue, level s of the reflected sweep is t = t_max - s,
     and its red and blue counts are t's blue and red. The upper half runs
     in a forked child when cores.both finds a second core and work, the
@@ -339,28 +327,27 @@ def _two_ended(classes: Sequence[dict[int, int]], groups: Sequence[int],
     def lower() -> list[tuple]:
         if cut < t_min:
             return [()] * len(groups)
-        return [table.rows for table in _sweep(classes, groups, (t_min, cut))]
+        return [table.rows for table in _sweep(n, levels, groups, (t_min, cut))]
 
     def upper() -> list[list[tuple[int, ...]]]:  # plain tuples, for marshal
         if cut >= t_max:
             return [[] for _ in groups]
-        reflected = [{t_max + 1 - dist: mask for dist, mask in by_distance.items()}
-                     for by_distance in classes]
+        reflected = {t_max + 1 - dist: mask for dist, mask in levels.items()}
         return [[tuple(census) for _, census in table.rows]
-                for table in _sweep(reflected, groups, (0, t_max - cut - 1))]
+                for table in _sweep(n, reflected, groups, (0, t_max - cut - 1))]
 
     lows, highs = both(lower, upper, work)
-    return [SweepTable(size, (*low, *((t, CliqueCensus(n, m, total, blue, red))
-                                      for t, (n, m, total, red, blue)
+    return [SweepTable(size, (*low, *((t, CliqueCensus(size, m, total, blue, red))
+                                      for t, (_, m, total, red, blue)
                                       in zip(range(cut + 1, t_max + 1), reversed(high)))))
             for size, low, high in zip(sizes, lows, highs)]
 
 
-def _sweep(classes: Sequence[dict[int, int]], groups: Sequence[int],
+def _sweep(n: int, levels: dict[int, int], groups: Sequence[int],
            t_range: tuple[int, int]) -> list[SweepTable]:
-    """The sweep of each group (a vertex mask) over the pairs in classes,
-    which holds, for each vertex a, its partners b > a by distance, over
-    a range _checked_range has checked.
+    """The sweep of each group (a vertex mask) over the pairs of n
+    vertices in levels, matrix masks by distance, over a range
+    _checked_range has checked.
 
     Each group is every vertex or one party, parties are disjoint, and
     identical groups are swept once. One pass over the pairs in distance
@@ -372,18 +359,22 @@ def _sweep(classes: Sequence[dict[int, int]], groups: Sequence[int],
     t_min, t_max = t_range
     sizes = [group.bit_count() for group in groups]
 
-    n = len(classes)
     everyone = (1 << n) - 1
     masks = list(dict.fromkeys(groups))
     members = {mask: [v for v in range(n) if mask >> v & 1] for mask in masks}
     party = {v: mask for mask in masks if mask != everyone for v in members[mask]}
+    turning: dict[int, int] = {}  # by t: the pairs that turn red at t, those below t_min at it
+    for dist, mask in levels.items():
+        if dist <= t_max:
+            t = max(dist, t_min)
+            turning[t] = turning.get(t, 0) | mask
     # joins[t - t_min][a]: the b > a whose pair turns red at t
-    joins: list[dict[int, int]] = [{} for _ in range(t_max - t_min + 1)]
-    for a, by_distance in enumerate(classes):
-        for dist, mask in by_distance.items():
-            if dist <= t_max:
-                at_t = joins[dist - t_min if dist > t_min else 0]
-                at_t[a] = at_t.get(a, 0) | mask
+    width, joins = (n + 7) // 8, []
+    for t in range(t_min, t_max + 1):
+        data = turning.get(t, 0).to_bytes(n * width, "little")
+        row_at = (int.from_bytes(data[at:at + width], "little")
+                  for at in range(0, len(data), width))
+        joins.append({a: row for a, row in enumerate(row_at) if row})
 
     red, bits = [0] * n, [1 << v for v in range(n)]
     red_counts = dict.fromkeys([0, everyone, *masks], 0)  # 0: vertices in no asked party
@@ -425,62 +416,3 @@ def _sweep(classes: Sequence[dict[int, int]], groups: Sequence[int],
             census = CliqueCensus(size, 3, math.comb(size, 3), red_count, mono - red_count)
             rows[mask].append((t, census))
     return [SweepTable(n=size, rows=tuple(rows[group])) for size, group in zip(sizes, groups)]
-
-
-def parse_trade_flows(lines: Iterable[str]) -> list[TradeFlow]:
-    """Read directed flows from CSV with header exporter,importer,volume.
-
-    Lines must keep their terminators, as parse_votes says."""
-    rows = _csv_rows(lines)
-    _, header = next(rows, (1, None))
-    if header is None:
-        return []
-    if [h.strip().lower() for h in header] != ["exporter", "importer", "volume"]:
-        raise ParseError("expected header 'exporter,importer,volume'", line=1)
-    flows = []
-    for lineno, row in rows:
-        if not row or all(not cell.strip() for cell in row):
-            continue
-        if len(row) != 3:
-            raise ParseError(f"expected 3 fields, got {len(row)}", line=lineno)
-        try:
-            volume = float(row[2])
-        except ValueError:
-            raise ParseError(f"bad volume {row[2].strip()!r}", line=lineno) from None
-        try:
-            flows.append(TradeFlow(row[0].strip(), row[1].strip(), volume))
-        except InputError as exc:
-            raise ParseError(str(exc), line=lineno) from None
-    return flows
-
-
-def build_trade_graph(flows: Sequence[TradeFlow], k: int) -> TwoColoring:
-    """Blue edges to each country's top-k partners, red everywhere else.
-
-    Duplicate (exporter, importer) rows are summed before ranking.
-    Import and export rankings are separate, ties break alphabetically,
-    and a country with fewer than k partners keeps them all. The blue
-    set is the union over countries, so a popular country's blue degree
-    can far exceed 2k. Vertices are the alphabetically sorted labels.
-    """
-    from .coloring import from_blue_edges
-
-    if k < 1:
-        raise InputError(f"partner count must be >= 1, got {k}")
-    if not flows:
-        raise InputError("no flows supplied")
-    volume: dict[tuple[str, str], float] = {}
-    for f in flows:
-        pair = (f.exporter, f.importer)
-        volume[pair] = volume.get(pair, 0.0) + f.volume
-    # ranked[(c, 0 | 1)]: c's export (0) or import (1) partners as (-volume, label),
-    # so a plain sort ranks by volume descending, ties alphabetically
-    ranked: dict[tuple[str, int], list[tuple[float, str]]] = {}
-    for (exp, imp), v in volume.items():
-        ranked.setdefault((exp, 0), []).append((-v, imp))
-        ranked.setdefault((imp, 1), []).append((-v, exp))
-    countries = sorted({c for c, _ in ranked})
-    index = {c: i for i, c in enumerate(countries)}
-    top_k = ((index[c], index[partner]) for (c, _), partners in ranked.items()
-             for _, partner in sorted(partners)[:k])
-    return from_blue_edges(len(countries), top_k, labels=countries)

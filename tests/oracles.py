@@ -156,6 +156,54 @@ def hamming_matrix(records):
                           labels=[r.id for r in records])
 
 
+def distance_classes(d):
+    """classes[a][dist]: the mask of the b > a at that distance from a,
+    read off a DistanceMatrix pair by pair."""
+    classes = [{} for _ in range(d.n)]
+    for a, b in combinations(range(d.n), 2):
+        classes[a][d.d[a][b]] = classes[a].get(d.d[a][b], 0) | 1 << b
+    return classes
+
+
+def distance_levels(d):
+    """The sweep's levels of a DistanceMatrix, by literal bit positions:
+    the pair a < b sets bit 8 * ceil(n / 8) * a + b of its distance's mask."""
+    stride = 8 * -(-d.n // 8)
+    levels = {}
+    for a, b in combinations(range(d.n), 2):
+        levels[d.d[a][b]] = levels.get(d.d[a][b], 0) | 1 << stride * a + b
+    return levels
+
+
+def halving_cut(classes, groups, t_range):
+    """The two-ended sweep's cut and the estimate of its smaller half, with
+    the kernel's cost model charged entry by entry of distance_classes: 300
+    ns a pair, 150 more inside the asked party of its first vertex, and 300
+    per member of each distinct group on a level's census."""
+    t_min, t_max = t_range
+    everyone = (1 << len(classes)) - 1
+    masks = list(dict.fromkeys(groups))
+    parties = [mask for mask in masks if mask != everyone]
+    work = {}  # by distance
+    for a, by_distance in enumerate(classes):
+        own = next((mask for mask in parties if mask >> a & 1), 0)
+        for dist, mask in by_distance.items():
+            ns = 300 * mask.bit_count() + 150 * (mask & own).bit_count()
+            work[dist] = work.get(dist, 0) + ns
+    census_ns = 300 * sum(mask.bit_count() for mask in masks)  # per level
+
+    def halves(cut):
+        lower = upper = 0
+        if cut >= t_min:
+            lower = census_ns * (cut - t_min + 1) + sum(w for d, w in work.items() if d <= cut)
+        if cut < t_max:
+            upper = census_ns * (t_max - cut) + sum(w for d, w in work.items() if d > cut + 1)
+        return max(lower, upper), min(lower, upper)
+
+    (_, smaller), cut = min((halves(cut), cut) for cut in range(t_min - 1, t_max + 1))
+    return cut, smaller
+
+
 def subgroup_indices(records, token):
     """Indices of a vote_sweeps subgroup: every record for G, else the
     records of that party."""

@@ -20,6 +20,7 @@ import oracles
 from conftest import CliRunner, house_votes_file
 from ramseystats import (
     Color,
+    build_trade_graph,
     chi2,
     chi2_deviation,
     chi2_vs_goodman,
@@ -30,6 +31,7 @@ from ramseystats import (
     ingest,
     max_clique,
     p_value,
+    parse_trade_flows,
     path_count,
     per_vertex_triangles,
     random_coloring,
@@ -201,8 +203,8 @@ def _floor_and_identity(coloring):
 
 
 def test_criterion_08_trade_pipeline(trade_small_path, trade_ring_path):
-    flows = ingest.parse_trade_flows(trade_small_path.read_text().splitlines())
-    graph = ingest.build_trade_graph(flows, k=2)
+    flows = parse_trade_flows(trade_small_path.read_text().splitlines())
+    graph = build_trade_graph(flows, k=2)
     blue = {
         tuple(sorted((graph.labels[i], graph.labels[j])))
         for i, j in graph.blue_edges()
@@ -215,8 +217,8 @@ def test_criterion_08_trade_pipeline(trade_small_path, trade_ring_path):
     assert blue == want
     _floor_and_identity(graph)
 
-    ring_flows = ingest.parse_trade_flows(trade_ring_path.read_text().splitlines())
-    ring = ingest.build_trade_graph(ring_flows, k=5)
+    ring_flows = parse_trade_flows(trade_ring_path.read_text().splitlines())
+    ring = build_trade_graph(ring_flows, k=5)
     cycle = {
         tuple(sorted((f"C{i}", f"C{(i + 1) % 6}"))) for i in range(6)
     }

@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 import oracles
 import ramseystats as rs
 from ramseystats import Color, census, cores
+from ramseystats.trade import census as trade_census
 
 
 def test_triangle_census_star(star_coloring):
@@ -356,7 +357,7 @@ def test_color_order_is_first_fit(n, p, seed):
     rows = tuple(rows)
     cand = rnd.getrandbits(n) if n else 0
     for mask in (cand, (1 << n) - 1):
-        got = census._CliqueSearch(rows, 1)._color_order(mask)
+        got = trade_census._CliqueSearch(rows, 1)._color_order(mask)
         assert got == oracles.first_fit_order(rows, mask)
 
 
@@ -374,7 +375,7 @@ def test_max_clique_search_tree_is_pinned():
 def test_max_clique_says_when_the_witness_phase_runs_out():
     # the size phase's first maximum clique here is not the smallest
     c = rs.random_coloring(9, 0.3, seed=0)
-    size_phase = census._CliqueSearch(c.rows(Color.RED), 10**8)
+    size_phase = trade_census._CliqueSearch(c.rows(Color.RED), 10**8)
     size_phase.expand((1 << c.n) - 1)
     # a budget the size phase uses up: the first witness query runs out
     cut = rs.max_clique(c, Color.RED, node_budget=size_phase.nodes)

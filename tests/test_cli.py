@@ -25,6 +25,7 @@ import oracles
 import ramseystats as rs
 from conftest import CliRunner, assert_no_child_left
 from ramseystats import census, cli, cores, report
+from ramseystats.trade import census as trade_census
 from ramseystats.cli import OUT_DIR_ENV, main
 from ramseystats.commands import bounds as bounds_command
 from ramseystats.commands import simulate as simulate_command
@@ -269,7 +270,8 @@ def _loaded(args, tmp_path):
 
 _VOTES = str(Path(__file__).parent / "data" / "house-votes-84-sample.csv")
 _TRADE = str(Path(__file__).parent / "data" / "trade-small.csv")
-_TRADE_MODULES = ("census", "coloring", "cores", "ingest", "stats")
+_TRADE_MODULES = ("census", "coloring", "cores", "ingest", "stats", "trade", "trade.census",
+                  "trade.ingest")
 
 
 def _run_loads(command, *extra):
@@ -793,7 +795,7 @@ def test_trade_clique_deeper_than_recursion_limit_exit_1(runner, tmp_path):
 
 def test_trade_bad_budget_exit_1(runner, trade_small_path, tmp_path, monkeypatch):
     calls = []
-    monkeypatch.setattr(census, "clique_census", lambda *a, **kw: calls.append(a))
+    monkeypatch.setattr(trade_census, "clique_census", lambda *a, **kw: calls.append(a))
     for budget in ("0", "-5"):
         result = runner.invoke(main, [
             "trade", "--input", str(trade_small_path), "--k", "2",
@@ -809,8 +811,8 @@ def test_trade_unknown_density_vertex_fails_before_census(
     runner, trade_small_path, tmp_path, monkeypatch
 ):
     calls = []
-    monkeypatch.setattr(census, "max_clique", lambda *a, **kw: calls.append(a))
-    monkeypatch.setattr(census, "clique_census", lambda *a, **kw: calls.append(a))
+    monkeypatch.setattr(trade_census, "max_clique", lambda *a, **kw: calls.append(a))
+    monkeypatch.setattr(trade_census, "clique_census", lambda *a, **kw: calls.append(a))
     result = runner.invoke(main, [
         "trade", "--input", str(trade_small_path), "--k", "2",
         "--density-vertex", "Nowhere", "--out-dir", str(tmp_path),
@@ -825,7 +827,7 @@ def test_trade_order_above_5_fails_before_census(
     runner, trade_small_path, tmp_path, monkeypatch
 ):
     calls = []
-    monkeypatch.setattr(census, "clique_census", lambda *a, **kw: calls.append(a))
+    monkeypatch.setattr(trade_census, "clique_census", lambda *a, **kw: calls.append(a))
     result = runner.invoke(main, [
         "trade", "--input", str(trade_small_path), "--k", "2", "--orders", "3,6",
         "--out-dir", str(tmp_path / "out"),

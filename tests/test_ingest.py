@@ -144,14 +144,6 @@ def test_both_layouts_parse_alike(records, header):
         assert [r.id for r in recs] == ids
 
 
-def classes_of(d):
-    """distance_classes' layout read off the rows of a distance matrix."""
-    want = [{} for _ in d]
-    for a, b in combinations(range(len(d)), 2):
-        want[a][d[a][b]] = want[a].get(d[a][b], 0) | 1 << b
-    return want
-
-
 def test_hamming_matrix_definition_example():
     # distance between 00010 and 01001 is 3 (0->N, 1->Y)
     recs = [
@@ -159,28 +151,29 @@ def test_hamming_matrix_definition_example():
         rs.VoterRecord(id="2", party="?", votes="NYNNY"),
     ]
     assert oracles.hamming_matrix(recs).d[0][1] == 3
-    assert ingest.distance_classes(recs) == [{3: 0b10}, {}]
+    assert ingest.distance_levels(recs) == {3: 0b10}
 
 
 def test_hamming_matrix_six_voters(sample_matrix, sample_records):
-    # the oracle's matrix, which the sweep tests read, and the kernel's classes
+    # the oracle's matrix, which the sweep tests read, and the kernel's levels
     assert sample_matrix.d == SIX_VOTER_MATRIX
     assert sample_matrix.n == 6
     assert sample_matrix.labels == tuple("123456")
-    assert ingest.distance_classes(sample_records) == classes_of(SIX_VOTER_MATRIX)
+    assert ingest.distance_levels(sample_records) == oracles.distance_levels(sample_matrix)
 
 
 def test_hamming_is_a_metric(sample_records):
-    classes = ingest.distance_classes(sample_records)
-    n = len(classes)
-    d = [[0] * n for _ in range(n)]
-    for a, by_distance in enumerate(classes):
-        # each b > a lies in exactly one class of a
-        assert sum(mask.bit_count() for mask in by_distance.values()) == n - 1 - a
-        for dist, mask in by_distance.items():
-            for b in range(n):
-                if mask >> b & 1:
-                    d[a][b] = d[b][a] = dist
+    levels = ingest.distance_levels(sample_records)
+    n = len(sample_records)
+    d = [[None] * n for _ in range(n)]
+    for dist, mask in levels.items():
+        for a, b in combinations(range(n), 2):  # rows of one byte: the pair is bit 8a + b
+            if mask >> 8 * a + b & 1:
+                assert d[a][b] is None  # each pair a < b lies in exactly one level
+                d[a][b] = d[b][a] = dist
+    assert sum(mask.bit_count() for mask in levels.values()) == n * (n - 1) // 2
+    for i in range(n):
+        d[i][i] = 0
     for i in range(n):
         for j in range(n):
             for k in range(n):
@@ -190,9 +183,10 @@ def test_hamming_is_a_metric(sample_records):
 def test_hamming_a_is_ordinary(sample_records):
     # A matches only another A
     assert oracles.hamming(sample_records[0].votes, sample_records[1].votes) == 3
-    assert ingest.distance_classes(sample_records)[0][3] & 0b10
+    assert ingest.distance_levels(sample_records)[3] & 0b10
     recs = [rs.VoterRecord(str(i), "?", v) for i, v in enumerate(["AA", "AY", "YY"])]
-    assert ingest.distance_classes(recs) == [{1: 0b10, 2: 0b100}, {1: 0b100}, {}]
+    # pairs (0, 1) and (1, 2) at distance 1, (0, 2) at 2; row 1 starts at bit 8
+    assert ingest.distance_levels(recs) == {1: 0b10 | 0b100 << 8, 2: 0b100}
 
 
 def test_hamming_length_mismatch():
@@ -201,7 +195,7 @@ def test_hamming_length_mismatch():
         rs.VoterRecord(id="2", party="?", votes="YNA"),
     ]
     with pytest.raises(rs.InputError, match="^record '2' has length 3, expected 2$"):
-        ingest.distance_classes(recs)
+        ingest.distance_levels(recs)
 
 
 def test_voter_record_rejects_other_symbols():
@@ -370,14 +364,15 @@ def test_sweep_builds_no_coloring(monkeypatch, sample_matrix, sample_records):
 
 
 @st.composite
-def voter_records(draw, min_records=1, max_length=40):
+def voter_records(draw, min_records=1, max_records=12, max_length=40):
     """Records of 1 to max_length votes (40 needs 6 bit-planes per
     count, 70 needs 7), some all A, some repeated, each with a party
     drawn from D, R and I."""
     length = draw(st.integers(1, max_length))
     vote = st.text("YNA", min_size=length, max_size=length) | st.just("A" * length)
     distinct = draw(st.lists(vote, min_size=1, max_size=8))
-    votes = draw(st.lists(st.sampled_from(distinct), min_size=min_records, max_size=12))
+    votes = draw(st.lists(st.sampled_from(distinct), min_size=min_records,
+                          max_size=max_records))
     return [rs.VoterRecord(str(i), draw(st.sampled_from("DRI")), v)
             for i, v in enumerate(votes)]
 
@@ -388,9 +383,10 @@ def records_of(*votes):
 
 def seeded_records(count, length, seed):
     """count records, drawn from count // 2 distinct seeded vote strings
-    (so some repeat), each with a seeded party from D, R and I."""
+    (one for a single record, so some repeat), each with a seeded party
+    from D, R and I."""
     rnd = random.Random(seed)
-    distinct = ["".join(rnd.choices("YNA", k=length)) for _ in range(count // 2)]
+    distinct = ["".join(rnd.choices("YNA", k=length)) for _ in range(max(1, count // 2))]
     return [rs.VoterRecord(str(i), rnd.choice("DRI"), rnd.choice(distinct))
             for i in range(count)]
 
@@ -400,7 +396,7 @@ LONG = seeded_records(75, 16, seed=1)
 
 
 @settings(deadline=None)
-@given(records=voter_records(max_length=70))
+@given(records=voter_records(max_records=40, max_length=70))
 @example(records=[])
 @example(records=records_of("YNA"))
 @example(records=records_of("A" * 7, "A" * 7))
@@ -408,11 +404,22 @@ LONG = seeded_records(75, 16, seed=1)
 @example(records=records_of("YN" * 20, "NY" * 20, "YN" * 20, "A" * 40))
 @example(records=records_of("AYN", "AAA", "NYA"))
 @example(records=records_of("Y" * 70, "N" * 70, "A" * 70, "YN" * 35))  # 7 bit-planes
+@example(records=records_of(*["A" * 17] * 40))  # all A: every pair at distance 0
+@example(records=records_of(*"YNAYNAYN"))  # one bill, rows of one full byte
 @example(records=LONG)
 @example(records=seeded_records(100, 70, seed=2))
-def test_distance_classes_match_hamming_matrix(records):
+def test_distance_levels_match_hamming_matrix(records):
     d = oracles.hamming_matrix(records)
-    assert ingest.distance_classes(records) == classes_of(d.d)
+    assert ingest.distance_levels(records) == oracles.distance_levels(d)
+
+
+@pytest.mark.parametrize("bills", [1, 17])
+def test_distance_levels_at_every_row_width(bills):
+    # n = 1..40: rows of one to five bytes, full (n a multiple of 8) and part-filled
+    for n in range(1, 41):
+        records = seeded_records(n, bills, seed=n)
+        d = oracles.hamming_matrix(records)
+        assert ingest.distance_levels(records) == oracles.distance_levels(d), n
 
 
 @settings(deadline=None)
@@ -503,14 +510,17 @@ def group_masks(records, subgroups):
 @example(case=(LONG, ["R", "G", "R"], 0, None))
 def test_two_ended_sweep_equals_one_pass_at_every_cut(case):
     records, subgroups, t_min, t_max = case
-    classes = ingest.distance_classes(records)
+    n, levels = len(records), ingest.distance_levels(records)
     groups = group_masks(records, subgroups)
-    t_min, t_max = ingest._checked_range(classes, groups, (t_min, t_max))
-    one_pass = ingest._sweep(classes, groups, (t_min, t_max))
+    t_min, t_max = ingest._checked_range(levels, groups, (t_min, t_max))
+    one_pass = ingest._sweep(n, levels, groups, (t_min, t_max))
     for cut in range(t_min - 1, t_max + 1):  # the lower or the upper half may be empty
-        assert ingest._two_ended(classes, groups, (t_min, t_max), cut, 0) == one_pass
-    cut, work = ingest._halving_cut(classes, groups, (t_min, t_max))
+        assert ingest._two_ended(n, levels, groups, (t_min, t_max), cut, 0) == one_pass
+    cut, work = ingest._halving_cut(n, levels, groups, (t_min, t_max))
     assert t_min - 1 <= cut <= t_max and work >= 0
+    # the cut and its estimate are the entry-by-entry cost model's
+    classes = oracles.distance_classes(oracles.hamming_matrix(records))
+    assert (cut, work) == oracles.halving_cut(classes, groups, (t_min, t_max))
 
 
 # 435 records of 16 votes, as the house-votes file has
@@ -518,16 +528,16 @@ FULL = seeded_records(435, 16, seed=3)
 
 
 def test_forked_and_inline_sweeps_agree_on_435_records(monkeypatch, forks):
-    classes = ingest.distance_classes(FULL)
+    n, levels = len(FULL), ingest.distance_levels(FULL)
     groups = group_masks(FULL, "GDR")
-    t_range = ingest._checked_range(classes, groups, (0, None))
-    _, work = ingest._halving_cut(classes, groups, t_range)
+    t_range = ingest._checked_range(levels, groups, (0, None))
+    _, work = ingest._halving_cut(n, levels, groups, t_range)
     assert work >= cores.MIN_FORK_WORK  # this size forks on two cores
     forked = rs.vote_sweeps(FULL, (0, None), "GDR")
     assert forks == [1]
     monkeypatch.setattr(rs.cores, "_forks", lambda work: False)
     assert rs.vote_sweeps(FULL, (0, None), "GDR") == forked
-    assert ingest._sweep(classes, groups, t_range) == forked
+    assert ingest._sweep(n, levels, groups, t_range) == forked
     assert forks == [1]
 
 
