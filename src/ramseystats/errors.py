@@ -1,4 +1,7 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and the CSV row reader."""
+
+import csv
+from typing import Iterable, Iterator
 
 
 class InputError(ValueError):
@@ -27,3 +30,11 @@ class UndefinedDensityError(ValueError):
     """Raised when a neighborhood has fewer than two members, so its
     edge density is undefined (as opposed to zero)."""
 
+
+def _csv_rows(lines: Iterable[str]) -> Iterator[tuple[int, list[str]]]:
+    """Each CSV row with the line it starts on (a quoted field may span lines)."""
+    reader = csv.reader(lines)
+    end = 0
+    for row in reader:
+        yield end + 1, row
+        end = reader.line_num

@@ -8,14 +8,17 @@ built, and one pass over the pairs in distance order sweeps every
 requested subgroup (vote_sweeps): a pair turning red costs one popcount,
 two if it lies inside an asked party, and the blue triangles follow from
 Goodman's degree identity, so no coloring is built per threshold.
-vote_sweeps runs that pass from both ends: red grows from t_min up to a
-cut that halves the work, blue from t_max down to it, by the same kernel
-on reflected distances, and the second half runs in a forked child when
-a second CPU is free and the half takes 2.5 ms or more (cores.both). On
-435 records the levels and the cut take about 2.5 ms and the halves
-about 25 and 23 ms, where the one pass takes 48 (shared 2-core host,
-CPython 3.11.7). sweep runs the one pass, from t_min up, on a caller's
-own distance matrix. Trade flows are read by trade.ingest.
+Both entry points, vote_sweeps on vote records and sweep on a caller's
+own distance matrix, run that pass from both ends (_two_ended): red
+grows from t_min up to a cut that halves the work, blue from t_max down
+to it, by the same kernel on reflected distances, and the second half
+runs in a forked child when a second CPU is free and the half takes
+2.5 ms or more (cores.both). Each half reads a threshold's pairs only
+when it reaches that threshold. On 435 records the levels and the cut
+take about 2.3 ms and the halves about 19 and 18 ms, where _sweep over
+the whole range, the one-pass reference the tests compare against,
+takes 41 (medians of 40 calls in one process, shared 2-core host,
+CPython 3.11.7). Trade flows are read by trade.ingest.
 
 Parsing is strict: wrong field counts and unknown tokens fail with the
 line the offending row starts on rather than being papered over.
@@ -23,13 +26,14 @@ line the offending row starts on rather than being papered over.
 
 from __future__ import annotations
 
-import csv
 import math
-from typing import Iterable, Iterator, NamedTuple, Sequence
+import struct
+from itertools import accumulate
+from typing import Iterable, NamedTuple, Sequence
 
 from .census import CliqueCensus, mono_triangles
 from .cores import both
-from .errors import InputError, ParseError
+from .errors import InputError, ParseError, _csv_rows
 
 _HOUSE_VOTES_FIELDS = 17
 _VOTE_TOKENS = {"y": "Y", "n": "N", "?": "A", "a": "A"}
@@ -119,15 +123,6 @@ def parse_votes(lines: Iterable[str]) -> list[VoterRecord]:
     return records
 
 
-def _csv_rows(lines: Iterable[str]) -> Iterator[tuple[int, list[str]]]:
-    """Each CSV row with the line it starts on (a quoted field may span lines)."""
-    reader = csv.reader(lines)
-    end = 0
-    for row in reader:
-        yield end + 1, row
-        end = reader.line_num
-
-
 def _normalize_votes(tokens: Sequence[str], lineno: int) -> str:
     out = []
     for tok in tokens:
@@ -215,8 +210,8 @@ def sweep(d: DistanceMatrix, t_range: tuple[int, int | None]) -> SweepTable:
 
     Rows come back ordered by t, and each census equals the triangle
     census of the threshold coloring at t: red at distance <= t, blue
-    above. This is the one-pass sweep, from t_min up; vote_sweeps sweeps
-    several subgroups of vote records at once, and from both ends.
+    above. It runs from both ends (_two_ended), as vote_sweeps does; the
+    tests' one-pass reference is _sweep over the whole range.
     """
     rows_at: dict[int, list[int]] = {}  # by distance: row a holds the b > a at it
     for a, row in enumerate(d.d):
@@ -226,8 +221,7 @@ def sweep(d: DistanceMatrix, t_range: tuple[int, int | None]) -> SweepTable:
                 rows = rows_at[row[b]] = [0] * d.n
             rows[a] |= 1 << b
     levels = {dist: _matrix(rows) for dist, rows in rows_at.items()}
-    groups = [(1 << d.n) - 1]
-    return _sweep(d.n, levels, groups, _checked_range(levels, groups, t_range))[0]
+    return _two_ended(d.n, levels, [(1 << d.n) - 1], t_range)[0]
 
 
 def vote_sweeps(records: Sequence[VoterRecord], t_range: tuple[int, int | None],
@@ -251,10 +245,7 @@ def vote_sweeps(records: Sequence[VoterRecord], t_range: tuple[int, int | None],
         if not mask:
             raise InputError(f"subgroup {token!r} matches no records")
         groups.append(mask)
-    n, levels = len(records), distance_levels(records)
-    t_range = _checked_range(levels, groups, t_range)
-    cut, work = _halving_cut(n, levels, groups, t_range)
-    return _two_ended(n, levels, groups, t_range, cut, work)
+    return _two_ended(len(records), distance_levels(records), groups, t_range)
 
 
 def _checked_range(levels: dict[int, int], groups: Sequence[int],
@@ -296,69 +287,67 @@ def _halving_cut(n: int, levels: dict[int, int], groups: Sequence[int],
     work = {dist: 300 * mask.bit_count() + 150 * (mask & same_party).bit_count()
             for dist, mask in levels.items()}  # by distance
     census_ns = 300 * sum(mask.bit_count() for mask in masks)  # per level
+    total = sum(work.values())
 
-    def halves(cut: int) -> tuple[int, int]:
+    def halves(cut: int, below: int) -> tuple[int, int]:  # below: the work at distances <= cut
         lower = upper = 0
         if cut >= t_min:
-            lower = census_ns * (cut - t_min + 1) + sum(w for d, w in work.items() if d <= cut)
+            lower = census_ns * (cut - t_min + 1) + below
         if cut < t_max:
-            upper = census_ns * (t_max - cut) + sum(w for d, w in work.items() if d > cut + 1)
+            upper = census_ns * (t_max - cut) + total - below - work.get(cut + 1, 0)
         return max(lower, upper), min(lower, upper)
 
-    (_, smaller), cut = min((halves(cut), cut) for cut in range(t_min - 1, t_max + 1))
+    cuts = range(t_min - 1, t_max + 1)
+    below = accumulate((work.get(cut, 0) for cut in cuts[1:]),
+                       initial=sum(w for d, w in work.items() if d < t_min))
+    (_, smaller), cut = min((halves(cut, b), cut) for cut, b in zip(cuts, below))
     return cut, smaller
 
 
 def _two_ended(n: int, levels: dict[int, int], groups: Sequence[int],
-               t_range: tuple[int, int], cut: int, work: int) -> list[SweepTable]:
-    """_sweep(n, levels, groups, t_range), run from both ends of the range.
+               t_range: tuple[int, int | None]) -> list[SweepTable]:
+    """The SweepTable of each group (a vertex mask) over levels for
+    t_range, checked by _checked_range, from _sweep run from both ends.
 
-    The levels t_min..cut are swept from t_min up. The levels above the
-    cut are swept by the same kernel from t_max down, on the reflected
-    levels: distance d becomes level t_max + 1 - d, so the color that
-    grows there is blue, level s of the reflected sweep is t = t_max - s,
-    and its red and blue counts are t's blue and red. The upper half runs
-    in a forked child when cores.both finds a second core and work, the
-    smaller half's time in nanoseconds, pays for the fork.
+    The levels t_min..cut, the cut from _halving_cut, are swept from
+    t_min up. The levels above the cut are swept by the same kernel from
+    t_max down, on the reflected levels: distance d becomes level
+    t_max + 1 - d, so the color that grows there is blue, level s of the
+    reflected sweep is t = t_max - s, and its red count is t's blue. The
+    upper half runs in a forked child when cores.both finds a second
+    core and the smaller half's estimated time pays for the fork.
     """
-    t_min, t_max = t_range
-    sizes = [group.bit_count() for group in groups]
-
-    def lower() -> list[tuple]:
-        if cut < t_min:
-            return [()] * len(groups)
-        return [table.rows for table in _sweep(n, levels, groups, (t_min, cut))]
-
-    def upper() -> list[list[tuple[int, ...]]]:  # plain tuples, for marshal
-        if cut >= t_max:
-            return [[] for _ in groups]
-        reflected = {t_max + 1 - dist: mask for dist, mask in levels.items()}
-        return [[tuple(census) for _, census in table.rows]
-                for table in _sweep(n, reflected, groups, (0, t_max - cut - 1))]
-
-    lows, highs = both(lower, upper, work)
-    return [SweepTable(size, (*low, *((t, CliqueCensus(size, m, total, blue, red))
-                                      for t, (_, m, total, red, blue)
-                                      in zip(range(cut + 1, t_max + 1), reversed(high)))))
-            for size, low, high in zip(sizes, lows, highs)]
+    t_min, t_max = _checked_range(levels, groups, t_range)
+    cut, work = _halving_cut(n, levels, groups, (t_min, t_max))
+    reflected = {t_max + 1 - dist: mask for dist, mask in levels.items()}
+    lows, highs = both(lambda: _sweep(n, levels, groups, t_min, cut),
+                       lambda: _sweep(n, reflected, groups, 0, t_max - cut - 1), work)
+    tables = []
+    for group, low, high in zip(groups, lows, highs):
+        size = group.bit_count()
+        total = math.comb(size, 3)
+        censuses = [*(CliqueCensus(size, 3, total, red, mono - red) for red, mono in low),
+                    *(CliqueCensus(size, 3, total, mono - blue, blue)
+                      for blue, mono in reversed(high))]
+        tables.append(SweepTable(size, tuple(zip(range(t_min, t_max + 1), censuses))))
+    return tables
 
 
 def _sweep(n: int, levels: dict[int, int], groups: Sequence[int],
-           t_range: tuple[int, int]) -> list[SweepTable]:
-    """The sweep of each group (a vertex mask) over the pairs of n
-    vertices in levels, matrix masks by distance, over a range
-    _checked_range has checked.
+           t_min: int, t_max: int) -> list[list[tuple[int, int]]]:
+    """The (red, mono) triangle counts of each group (a vertex mask) at
+    each threshold t_min..t_max, none for an empty range, in the graphs
+    whose red pairs of n vertices are those in levels, matrix masks by
+    distance, at distance <= t.
 
     Each group is every vertex or one party, parties are disjoint, and
     identical groups are swept once. One pass over the pairs in distance
     order grows every vertex's red row, whatever groups are asked. A pair
     turning red closes a red triangle per common red neighbour: one
     popcount of the two rows, one more against the party if the pair lies
-    inside an asked party. Blue follows from the red degrees.
+    inside an asked party. The monochromatic count follows from the red
+    degrees. Counts are plain ints, so marshal sends them as they are.
     """
-    t_min, t_max = t_range
-    sizes = [group.bit_count() for group in groups]
-
     everyone = (1 << n) - 1
     masks = list(dict.fromkeys(groups))
     members = {mask: [v for v in range(n) if mask >> v & 1] for mask in masks}
@@ -368,19 +357,18 @@ def _sweep(n: int, levels: dict[int, int], groups: Sequence[int],
         if dist <= t_max:
             t = max(dist, t_min)
             turning[t] = turning.get(t, 0) | mask
-    # joins[t - t_min][a]: the b > a whose pair turns red at t
-    width, joins = (n + 7) // 8, []
-    for t in range(t_min, t_max + 1):
-        data = turning.get(t, 0).to_bytes(n * width, "little")
-        row_at = (int.from_bytes(data[at:at + width], "little")
-                  for at in range(0, len(data), width))
-        joins.append({a: row for a, row in enumerate(row_at) if row})
+    row_of = struct.Struct(f"{(n + 7) // 8}s")  # one record's row of a matrix mask (_matrix)
 
     red, bits = [0] * n, [1 << v for v in range(n)]
     red_counts = dict.fromkeys([0, everyone, *masks], 0)  # 0: vertices in no asked party
-    rows: dict[int, list] = {mask: [] for mask in masks}
-    for t, at_t in enumerate(joins, start=t_min):
-        for a, new in at_t.items():
+    counts: dict[int, list] = {mask: [] for mask in masks}
+    for t in range(t_min, t_max + 1):
+        # row a of the pairs turning red at t: the b > a whose pair does
+        joins = turning.pop(t, 0).to_bytes(n * row_of.size, "little")
+        for a, (data,) in enumerate(row_of.iter_unpack(joins)):
+            new = int.from_bytes(data, "little")
+            if not new:
+                continue
             red_a, bit_a, own = red[a], bits[a], party.get(a, 0)
             count = inside = 0
             same, new = new & own, new & ~own  # a pair inside a's party counts for it too
@@ -406,13 +394,11 @@ def _sweep(n: int, levels: dict[int, int], groups: Sequence[int],
             red_counts[own] += inside
             red_counts[everyone] += count
         for mask in masks:
-            size, red_count = len(members[mask]), red_counts[mask]
             if mask == everyone:
                 member_rows = red
             else:  # rows hold outsiders too
                 member_rows = map(red.__getitem__, members[mask])
                 member_rows = map(mask.__and__, member_rows)
-            mono = mono_triangles(size, list(map(int.bit_count, member_rows)))
-            census = CliqueCensus(size, 3, math.comb(size, 3), red_count, mono - red_count)
-            rows[mask].append((t, census))
-    return [SweepTable(n=size, rows=tuple(rows[group])) for size, group in zip(sizes, groups)]
+            mono = mono_triangles(len(members[mask]), list(map(int.bit_count, member_rows)))
+            counts[mask].append((red_counts[mask], mono))
+    return [counts[group] for group in groups]

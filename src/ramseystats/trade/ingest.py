@@ -2,7 +2,7 @@
 countries: blue edges to each country's top-k import and export
 partners, red elsewhere.
 
-Parsing is strict, as in ramseystats.ingest, whose CSV reader it shares:
+Parsing is strict, as in ramseystats.ingest, with the same CSV reader:
 wrong field counts and bad volumes fail with the line the offending row
 starts on.
 """
@@ -13,8 +13,7 @@ import math
 from typing import Iterable, NamedTuple, Sequence
 
 from ..coloring import TwoColoring, from_blue_edges
-from ..errors import InputError, ParseError
-from ..ingest import _csv_rows
+from ..errors import InputError, ParseError, _csv_rows
 
 
 class TradeFlow(NamedTuple("TradeFlow", [("exporter", str), ("importer", str),

@@ -270,8 +270,7 @@ def _loaded(args, tmp_path):
 
 _VOTES = str(Path(__file__).parent / "data" / "house-votes-84-sample.csv")
 _TRADE = str(Path(__file__).parent / "data" / "trade-small.csv")
-_TRADE_MODULES = ("census", "coloring", "cores", "ingest", "stats", "trade", "trade.census",
-                  "trade.ingest")
+_TRADE_MODULES = ("census", "coloring", "stats", "trade", "trade.census", "trade.ingest")
 
 
 def _run_loads(command, *extra):

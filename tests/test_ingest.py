@@ -1,5 +1,6 @@
 import copy
 import io
+import math
 import pickle
 import random
 import time
@@ -321,6 +322,9 @@ def test_sweep_matches_per_threshold_census(case):
     d, (t_min, t_max), subgroup = case
     sub = d if subgroup is None else oracles.submatrix(d, subgroup)
     table = rs.sweep(sub, (t_min, t_max))
+    with pytest.MonkeyPatch.context() as patch:  # the upper half in a forked child
+        patch.setattr(cores, "_forks", lambda work: True)
+        assert rs.sweep(sub, (t_min, t_max)) == table
     assert table.n == sub.n
     assert [t for t, _ in table.rows] == list(range(t_min, t_max + 1))
     for t, census in table.rows:
@@ -501,6 +505,19 @@ def group_masks(records, subgroups):
             for token in subgroups]
 
 
+def one_pass(n, levels, groups, t_range):
+    """_sweep over the whole range from t_min up, its counts turned into
+    tables: the reference that both entry points' sweeps must equal."""
+    t_min, t_max = t_range
+    tables = []
+    for group, counts in zip(groups, ingest._sweep(n, levels, groups, t_min, t_max)):
+        size = group.bit_count()
+        tables.append(rs.SweepTable(size, tuple(
+            (t, rs.CliqueCensus(size, 3, math.comb(size, 3), red, mono - red))
+            for t, (red, mono) in zip(range(t_min, t_max + 1), counts))))
+    return tables
+
+
 @settings(deadline=None)
 @given(case=vote_sweep_cases())
 @example(case=(SIX, ["G", "D", "R"], 1, 1))  # one level, t_min > 0
@@ -512,15 +529,18 @@ def test_two_ended_sweep_equals_one_pass_at_every_cut(case):
     records, subgroups, t_min, t_max = case
     n, levels = len(records), ingest.distance_levels(records)
     groups = group_masks(records, subgroups)
-    t_min, t_max = ingest._checked_range(levels, groups, (t_min, t_max))
-    one_pass = ingest._sweep(n, levels, groups, (t_min, t_max))
-    for cut in range(t_min - 1, t_max + 1):  # the lower or the upper half may be empty
-        assert ingest._two_ended(n, levels, groups, (t_min, t_max), cut, 0) == one_pass
-    cut, work = ingest._halving_cut(n, levels, groups, (t_min, t_max))
-    assert t_min - 1 <= cut <= t_max and work >= 0
+    t_range = ingest._checked_range(levels, groups, (t_min, t_max))
+    reference = one_pass(n, levels, groups, t_range)
+    cut, work = ingest._halving_cut(n, levels, groups, t_range)
+    # the lower or the upper half may be empty
+    for forced in range(t_range[0] - 1, t_range[1] + 1):
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(ingest, "_halving_cut", lambda *args: (forced, 0))
+            assert ingest._two_ended(n, levels, groups, (t_min, t_max)) == reference
+    assert t_range[0] - 1 <= cut <= t_range[1] and work >= 0
     # the cut and its estimate are the entry-by-entry cost model's
     classes = oracles.distance_classes(oracles.hamming_matrix(records))
-    assert (cut, work) == oracles.halving_cut(classes, groups, (t_min, t_max))
+    assert (cut, work) == oracles.halving_cut(classes, groups, t_range)
 
 
 # 435 records of 16 votes, as the house-votes file has
@@ -537,7 +557,7 @@ def test_forked_and_inline_sweeps_agree_on_435_records(monkeypatch, forks):
     assert forks == [1]
     monkeypatch.setattr(rs.cores, "_forks", lambda work: False)
     assert rs.vote_sweeps(FULL, (0, None), "GDR") == forked
-    assert ingest._sweep(n, levels, groups, t_range) == forked
+    assert one_pass(n, levels, groups, t_range) == forked
     assert forks == [1]
 
 
