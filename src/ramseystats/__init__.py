@@ -28,7 +28,7 @@ _EXPORTS = {
     **dict.fromkeys(("Color", "TwoColoring", "from_blue_edges", "path_count"), "coloring"),
     **dict.fromkeys(("DegenerateReferenceError", "InputError", "ParseError",
                      "UndefinedDensityError", "UnsupportedOrderError"), "errors"),
-    **dict.fromkeys(("DistanceMatrix", "SweepTable", "VoterRecord", "parse_votes", "sweep",
+    **dict.fromkeys(("DistanceMatrix", "SweepTable", "VoterRecord", "parse_votes",
                      "vote_sweeps"), "ingest"),
     **dict.fromkeys(("TradeFlow", "build_trade_graph", "parse_trade_flows"), "trade.ingest"),
     **dict.fromkeys(("Chi2Report", "bar_chi2", "chi2", "chi2_deviation", "chi2_vs_goodman",

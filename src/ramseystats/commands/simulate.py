@@ -10,12 +10,10 @@ from operator import mul
 from .. import bounds as bounds_lib, census as census_lib, report
 from . import _fail, _finish, _reject_options, _report, _resolve_out_dir
 
-# Monte Carlo simulate's work in units of one draw as fitted (0.34-0.37 us): a sample
-# is charged C(n,2) + 26 (its seed and call cost 36-40), each of its counts n + 3 (one
-# costs 1.7-6 units at n <= 20), and each density's row 1000 for the ~2 KB it holds
-# until written (it takes ~140). CLI runs at the cap's corners took 0.5-6.8 s and at
-# most 49 MB on one core, and 0.6-2.9 s and at most 51 MB with the seeds split over
-# two (2 cores, CPython 3.11.7).
+# Monte Carlo simulate's work in units of one draw: each sample's census._sample_work,
+# and each density's row 1000 for the ~2 KB it holds until written (it takes ~140).
+# CLI runs at the cap's corners took 0.5-6.8 s and at most 49 MB on one core, and
+# 0.6-2.9 s and at most 51 MB with the seeds split over two (2 cores, CPython 3.11.7).
 MAX_SIMULATED_WORK = 16_000_000
 # simulate --exhaustive takes about 0.2 s at n=11 and 3.5 times more per n.
 MAX_EXHAUSTIVE_N = 11
@@ -85,7 +83,7 @@ def main(run, n, t_min, t_max, t_step, samples, seed, exhaustive, fmt, out_dir):
         if not (0 <= lo <= hi <= 1):
             _fail(1, "need 0 <= t-min <= t-max <= 1")
         points = (hi - lo) // step + 1
-        work = samples * (comb(n, 2) + 26 + points * (n + 3)) + points * 1000
+        work = samples * census_lib._sample_work(n, points) + points * 1000
         if work > MAX_SIMULATED_WORK:
             _fail(1, f"n={n} with {points} densities x {samples} samples needs {work} "
                      f"units of work, above the cap of {MAX_SIMULATED_WORK}")

@@ -8,17 +8,16 @@ built, and one pass over the pairs in distance order sweeps every
 requested subgroup (vote_sweeps): a pair turning red costs one popcount,
 two if it lies inside an asked party, and the blue triangles follow from
 Goodman's degree identity, so no coloring is built per threshold.
-Both entry points, vote_sweeps on vote records and sweep on a caller's
-own distance matrix, run that pass from both ends (_two_ended): red
-grows from t_min up to a cut that halves the work, blue from t_max down
-to it, by the same kernel on reflected distances, and the second half
-runs in a forked child when a second CPU is free and the half takes
-2.5 ms or more (cores.both). Each half reads a threshold's pairs only
-when it reaches that threshold. On 435 records the levels and the cut
-take about 2.3 ms and the halves about 19 and 18 ms, where _sweep over
-the whole range, the one-pass reference the tests compare against,
-takes 41 (medians of 40 calls in one process, shared 2-core host,
-CPython 3.11.7). Trade flows are read by trade.ingest.
+The pass runs from both ends (_two_ended): red grows from t_min up to a
+cut that halves the work, blue from t_max down to it, by the same kernel
+on reflected distances, and the second half runs in a forked child when
+a second CPU is free and the half takes 2.5 ms or more (cores.both).
+Each half reads a threshold's pairs only when it reaches that threshold.
+On 435 records the levels and the cut take about 2.3 ms and the halves
+about 19 and 18 ms, where _sweep over the whole range, the one-pass
+reference the tests compare against, takes 41 (medians of 40 calls in
+one process, shared 2-core host, CPython 3.11.7). Trade flows are read
+by trade.ingest.
 
 Parsing is strict: wrong field counts and unknown tokens fail with the
 line the offending row starts on rather than being papered over.
@@ -57,7 +56,9 @@ class DistanceMatrix(NamedTuple("DistanceMatrix", [("n", int),
                                                    ("d", tuple[tuple[int, ...], ...]),
                                                    ("labels", tuple[str, ...] | None)])):
     """Symmetric nonnegative integer distances with a zero diagonal.
-    Built from the rows d alone; n is their count."""
+    Built from the rows d alone; n is their count. No sweep takes one;
+    it stays because the test oracles build it and the benchmark tracer
+    wraps its own __init__, until ROADMAP item 6."""
 
     __slots__ = ()
 
@@ -204,37 +205,18 @@ class SweepTable(NamedTuple):
     rows: tuple[tuple[int, CliqueCensus], ...]
 
 
-def sweep(d: DistanceMatrix, t_range: tuple[int, int | None]) -> SweepTable:
-    """Census every threshold graph for t in the inclusive range. A
-    t_max of None means the largest distance + 1.
-
-    Rows come back ordered by t, and each census equals the triangle
-    census of the threshold coloring at t: red at distance <= t, blue
-    above. It runs from both ends (_two_ended), as vote_sweeps does; the
-    tests' one-pass reference is _sweep over the whole range.
-    """
-    rows_at: dict[int, list[int]] = {}  # by distance: row a holds the b > a at it
-    for a, row in enumerate(d.d):
-        for b in range(a + 1, d.n):
-            rows = rows_at.get(row[b])
-            if rows is None:
-                rows = rows_at[row[b]] = [0] * d.n
-            rows[a] |= 1 << b
-    levels = {dist: _matrix(rows) for dist, rows in rows_at.items()}
-    return _two_ended(d.n, levels, [(1 << d.n) - 1], t_range)[0]
-
-
 def vote_sweeps(records: Sequence[VoterRecord], t_range: tuple[int, int | None],
                 subgroups: Sequence[str]) -> list[SweepTable]:
     """One sweep per subgroup token, in the order given: G stands for
     every record, any other token for the records of that party.
 
-    Each table equals sweep(d, t_range) for the Hamming distance matrix
-    d of the subgroup's records, but no distance matrix is built:
-    distance_levels gives the pairs by distance, and one pass over them,
-    whatever subgroups are asked, sweeps every subgroup. A t_max of None
-    means the largest distance + 1, over all pairs of records. The pass
-    runs from both ends (_two_ended), on two cores when they are free.
+    Each census at t equals the triangle census of the subgroup's
+    threshold coloring at t: red at Hamming distance <= t, blue above.
+    No distance matrix or coloring is built: distance_levels gives the
+    pairs by distance, and one pass over them, whatever subgroups are
+    asked, sweeps every subgroup. A t_max of None means the largest
+    distance + 1, over all pairs of records. The pass runs from both
+    ends (_two_ended), on two cores when they are free.
     """
     groups = []
     for token in subgroups:

@@ -7,9 +7,9 @@ bit of rows[i] & rows[j] above j, and K4/K5 extend the same scheme one
 and two intersections deeper. This equals the Trace(A^3)/6 definition
 (cross-checked against literal matrix powers in the tests). K3 and K4
 on a 214-vertex trade graph take under a second; K5 on its dense side
-takes about 20 s (2 cores, CPython 3.11). The census type, CliqueCensus,
-and the counts a votes sweep or a simulation needs are in
-ramseystats.census.
+takes 16-21 s on the trade seeds 1-2 of perfbench/gen.py (shared 2-core
+host, CPython 3.11.7). The census type, CliqueCensus, and the counts a
+votes sweep or a simulation needs are in ramseystats.census.
 """
 
 from __future__ import annotations

@@ -9,7 +9,7 @@ small n.
 import random
 from itertools import combinations
 
-from ramseystats import Color, DistanceMatrix, InputError, TwoColoring, from_blue_edges
+from ramseystats import Color, DistanceMatrix, InputError, TwoColoring, from_blue_edges, ingest
 
 
 def adjacency(coloring, color):
@@ -173,6 +173,11 @@ def distance_levels(d):
     for a, b in combinations(range(d.n), 2):
         levels[d.d[a][b]] = levels.get(d.d[a][b], 0) | 1 << stride * a + b
     return levels
+
+
+def sweep(d, t_range):
+    """The SweepTable of a DistanceMatrix: its levels swept as vote_sweeps sweeps them."""
+    return ingest._two_ended(d.n, distance_levels(d), [(1 << d.n) - 1], t_range)[0]
 
 
 def halving_cut(classes, groups, t_range):

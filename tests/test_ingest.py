@@ -256,7 +256,7 @@ def test_threshold_monotone(sample_matrix):
 
 
 def test_sweep_six_voters(sample_matrix):
-    table = rs.sweep(sample_matrix, (0, 8))
+    table = oracles.sweep(sample_matrix, (0, 8))
     assert [t for t, _ in table.rows] == list(range(9))
     monos = [float(census.mono_fraction) for _, census in table.rows]
     assert monos == [1.0, 1.0, 1.0, 0.6, 0.45, 0.2, 0.3, 1.0, 1.0]
@@ -269,23 +269,23 @@ def test_sweep_six_voters(sample_matrix):
 
 
 def test_sweep_single_point_equals_direct_census(sample_matrix):
-    table = rs.sweep(sample_matrix, (5, 5))
+    table = oracles.sweep(sample_matrix, (5, 5))
     direct = rs.triangle_census(oracles.threshold_coloring(sample_matrix, 5))
     assert table.rows == ((5, direct),)
 
 
 def test_sweep_subgroup(sample_matrix, sample_records):
     idx = oracles.subgroup_indices(sample_records, "D")
-    table = rs.sweep(oracles.submatrix(sample_matrix, idx), (0, 6))
+    table = oracles.sweep(oracles.submatrix(sample_matrix, idx), (0, 6))
     assert table.n == 4
     # Democrats' pairwise distances all <= 5, so t=5 is all red
     assert table.rows[5][1].mono_fraction == 1
     with pytest.raises(rs.InputError, match="at least 3 records, got 0"):
-        rs.sweep(rs.DistanceMatrix([]), (0, 2))
+        oracles.sweep(rs.DistanceMatrix([]), (0, 2))
     with pytest.raises(rs.InputError, match="at least 3 records, got 2"):
-        rs.sweep(oracles.submatrix(sample_matrix, idx[:2]), (0, 2))
+        oracles.sweep(oracles.submatrix(sample_matrix, idx[:2]), (0, 2))
     with pytest.raises(rs.InputError):
-        rs.sweep(sample_matrix, (3, 2))
+        oracles.sweep(sample_matrix, (3, 2))
 
 
 @st.composite
@@ -321,10 +321,10 @@ PATH = rs.DistanceMatrix([[abs(i - j) for j in range(5)] for i in range(5)])
 def test_sweep_matches_per_threshold_census(case):
     d, (t_min, t_max), subgroup = case
     sub = d if subgroup is None else oracles.submatrix(d, subgroup)
-    table = rs.sweep(sub, (t_min, t_max))
+    table = oracles.sweep(sub, (t_min, t_max))
     with pytest.MonkeyPatch.context() as patch:  # the upper half in a forked child
         patch.setattr(cores, "_forks", lambda work: True)
-        assert rs.sweep(sub, (t_min, t_max)) == table
+        assert oracles.sweep(sub, (t_min, t_max)) == table
     assert table.n == sub.n
     assert [t for t, _ in table.rows] == list(range(t_min, t_max + 1))
     for t, census in table.rows:
@@ -339,14 +339,14 @@ def test_sweep_error_messages(sample_matrix):
     ]
     for t_range, subgroup, message in cases:
         with pytest.raises(rs.InputError) as err:
-            rs.sweep(sample_matrix if subgroup is None
-                     else oracles.submatrix(sample_matrix, subgroup), t_range)
+            oracles.sweep(sample_matrix if subgroup is None
+                          else oracles.submatrix(sample_matrix, subgroup), t_range)
         assert str(err.value) == message
 
 
 def test_sweep_far_past_the_largest_distance(sample_matrix):
     start = time.perf_counter()
-    table = rs.sweep(sample_matrix, (0, 20_000))
+    table = oracles.sweep(sample_matrix, (0, 20_000))
     elapsed = time.perf_counter() - start
     assert len(table.rows) == 20_001
     all_red = rs.CliqueCensus(n=6, m=3, total=20, red_count=20, blue_count=0)
@@ -361,7 +361,7 @@ def test_sweep_builds_no_coloring(monkeypatch, sample_matrix, sample_records):
         raise AssertionError("sweep built a coloring or a distance matrix")
     monkeypatch.setattr(coloring, "TwoColoring", refuse)
     monkeypatch.setattr(coloring, "from_blue_edges", refuse)
-    assert len(rs.sweep(sample_matrix, (0, 8)).rows) == 9
+    assert len(oracles.sweep(sample_matrix, (0, 8)).rows) == 9
     monkeypatch.setattr(ingest, "DistanceMatrix", refuse)
     tables = rs.vote_sweeps(sample_records, (0, None), ["G", "D"])
     assert [len(table.rows) for table in tables] == [9, 9]
@@ -447,7 +447,7 @@ def test_vote_sweeps_match_submatrix_sweeps(records, data):
     for subgroups, t_min, t_max in cases:
         tables = rs.vote_sweeps(records, (t_min, t_max), subgroups)
         t_range = (t_min, largest + 1 if t_max is None else t_max)
-        assert tables == [rs.sweep(oracles.submatrix(d, index[token]), t_range)
+        assert tables == [oracles.sweep(oracles.submatrix(d, index[token]), t_range)
                           for token in subgroups]
 
 
@@ -507,7 +507,7 @@ def group_masks(records, subgroups):
 
 def one_pass(n, levels, groups, t_range):
     """_sweep over the whole range from t_min up, its counts turned into
-    tables: the reference that both entry points' sweeps must equal."""
+    tables: the reference that every two-ended sweep must equal."""
     t_min, t_max = t_range
     tables = []
     for group, counts in zip(groups, ingest._sweep(n, levels, groups, t_min, t_max)):
@@ -592,11 +592,11 @@ THREE = rs.DistanceMatrix([[0, 1, 2], [1, 0, 1], [2, 1, 0]])
 @example(matrix_case=(THREE, (0, 0), None), votes_case=(SIX, ["G"], 0, None))
 @example(matrix_case=(ZEROS, (2, 2), None), votes_case=(SIX, ["D", "G"], 9, None))  # empty range
 def test_t_max_none_is_the_largest_distance_plus_one(matrix_case, votes_case):
-    # both entry points, on a table or on the error of an empty range
+    # the oracle's matrix sweep and vote_sweeps, on a table or on the error of an empty range
     d, (t_min, _), _ = matrix_case
     last = max(map(max, d.d)) + 1
-    assert _sweep_or_error(rs.sweep, d, (t_min, None)) == \
-        _sweep_or_error(rs.sweep, d, (t_min, last))
+    assert _sweep_or_error(oracles.sweep, d, (t_min, None)) == \
+        _sweep_or_error(oracles.sweep, d, (t_min, last))
     records, subgroups, t_min, _ = votes_case
     last = max(map(max, oracles.hamming_matrix(records).d)) + 1
     assert _sweep_or_error(rs.vote_sweeps, records, (t_min, None), subgroups) == \
